@@ -9,10 +9,60 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use grit::experiments::PolicyKind;
 use grit::Simulation;
 use grit_core::{GritConfig, Nap, PaStore};
-use grit_mem::{GpuMemory, SetAssocCache, TlbHierarchy, WalkerPool};
+use grit_mem::{CacheKey, GpuMemory, SetAssocCache, TlbHierarchy, WalkerPool};
 use grit_sim::{PageId, Scheme, SimConfig};
 use grit_uvm::CentralPageTable;
 use grit_workloads::{App, WorkloadBuilder};
+
+/// A data-cache key shaped like the runner's: page, line generation and
+/// line within the page (16 bytes), indexed the same way.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+struct Line {
+    vpn: PageId,
+    generation: u32,
+    line: u16,
+}
+
+impl CacheKey for Line {
+    fn index(&self) -> u64 {
+        (self.vpn.vpn() << 6) | self.line as u64 & 0x3f
+    }
+}
+
+/// A cyclic line stream whose mix through a default L1 (256 lines, 4-way)
+/// and L2 (4096 lines, 16-way) is about 5 % L1 hits, 11 % L2 hits and
+/// 84 % double misses, the measured fig17 mix: a recent line is reused
+/// for L1 hits, a line a few hundred to two thousand back for L2 hits,
+/// and every other access goes to a fresh line.
+fn miss_heavy_lines() -> Vec<Line> {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut lines: Vec<Line> = Vec::with_capacity(1 << 16);
+    let mut fresh = 0u64;
+    while lines.len() < 1 << 16 {
+        let r = next() % 100;
+        let back = match r {
+            0..5 => 1 + next() % 8,
+            5..16 => 300 + next() % 1700,
+            _ => 0,
+        } as usize;
+        let line = if back == 0 || back > lines.len() {
+            fresh += 1;
+            Line {
+                vpn: PageId(fresh / 4),
+                generation: 0,
+                line: (next() % 64) as u16,
+            }
+        } else {
+            lines[lines.len() - back]
+        };
+        lines.push(line);
+    }
+    lines
+}
 
 fn bench_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("components/cache");
@@ -27,6 +77,30 @@ fn bench_cache(c: &mut Criterion) {
             cache.insert(k % 8192, 1);
             black_box(cache.get(&(k % 8192)));
         })
+    });
+    // Stream, mix check and caches live outside the timed closure, which
+    // the harness also calls for calibration.
+    let lines = miss_heavy_lines();
+    let cfg = SimConfig::default();
+    let new_cache = |geo: grit_sim::CacheGeometry| {
+        SetAssocCache::<Line, ()>::with_entries(geo.entries, geo.ways)
+    };
+    let (mut l1, mut l2) = (new_cache(cfg.l1_cache), new_cache(cfg.l2_cache));
+    for &key in &lines {
+        let _ = l1.get_or_fill(key, || Some(())) || l2.get_or_fill(key, || Some(()));
+    }
+    let double_miss = l2.stats().misses as f64 / lines.len() as f64;
+    assert!(
+        (0.80..0.90).contains(&double_miss),
+        "stream drifted from the fig17 mix: {double_miss:.3} double misses"
+    );
+    let mut i = 0;
+    g.bench_function("data_path_miss_heavy", |b| {
+        b.iter(|| {
+            let key = lines[i];
+            i = (i + 1) % lines.len();
+            l1.get_or_fill(key, || Some(())) || l2.get_or_fill(key, || Some(()))
+        });
     });
     g.bench_function("tlb_hierarchy_translate", |b| {
         let cfg = SimConfig::default();

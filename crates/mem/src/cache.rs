@@ -66,12 +66,6 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Way<K, V> {
-    key: K,
-    value: V,
-}
-
 /// Inverse record of one mutating cache operation, produced by
 /// [`SetAssocCache::get_recorded`] / [`SetAssocCache::insert_recorded`] and
 /// consumed by [`SetAssocCache::undo`].
@@ -120,6 +114,13 @@ pub enum CacheUndo<K, V> {
 
 /// Set-associative cache with per-set true-LRU order (front = MRU).
 ///
+/// Storage is flat: one key array and one value array of `sets × ways`
+/// slots, where set `s` occupies slots `s × ways ..` and holds its
+/// `fill[s]` resident entries MRU-first. Recency updates shift entries in
+/// place within the set, so no operation allocates. The set is selected
+/// with a mask when the set count is a power of two and with `%`
+/// otherwise; both pick `index() % sets`.
+///
 /// ```
 /// use grit_mem::SetAssocCache;
 /// let mut c: SetAssocCache<u64, u32> = SetAssocCache::new(1, 2);
@@ -131,12 +132,17 @@ pub enum CacheUndo<K, V> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SetAssocCache<K, V> {
-    sets: Vec<Vec<Way<K, V>>>,
+    keys: Vec<K>,
+    values: Vec<V>,
+    /// Resident entries per set.
+    fill: Vec<u32>,
     ways: usize,
+    /// `sets - 1` when the set count is a power of two, else `None`.
+    mask: Option<u64>,
     stats: CacheStats,
 }
 
-impl<K: CacheKey, V> SetAssocCache<K, V> {
+impl<K: CacheKey + Copy + Default, V: Copy + Default> SetAssocCache<K, V> {
     /// A cache with `sets` sets of `ways` ways.
     ///
     /// # Panics
@@ -148,8 +154,11 @@ impl<K: CacheKey, V> SetAssocCache<K, V> {
             "cache must have non-zero sets and ways"
         );
         SetAssocCache {
-            sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
+            keys: vec![K::default(); sets * ways],
+            values: vec![V::default(); sets * ways],
+            fill: vec![0; sets],
             ways,
+            mask: sets.is_power_of_two().then_some(sets as u64 - 1),
             stats: CacheStats::default(),
         }
     }
@@ -168,44 +177,127 @@ impl<K: CacheKey, V> SetAssocCache<K, V> {
     }
 
     fn set_of(&self, key: &K) -> usize {
-        (key.index() % self.sets.len() as u64) as usize
+        let index = key.index();
+        match self.mask {
+            Some(mask) => (index & mask) as usize,
+            None => (index % self.fill.len() as u64) as usize,
+        }
+    }
+
+    /// First slot of `set`.
+    fn base(&self, set: usize) -> usize {
+        set * self.ways
+    }
+
+    /// Position of `key` within `set`, MRU = 0.
+    fn find(&self, set: usize, key: &K) -> Option<usize> {
+        let base = self.base(set);
+        let n = self.fill[set] as usize;
+        self.keys[base..base + n].iter().position(|k| k == key)
+    }
+
+    /// Moves the entry at `from` to `to` within `set`, shifting the
+    /// entries between them by one slot.
+    fn shift(&mut self, set: usize, from: usize, to: usize) {
+        if from == to {
+            return;
+        }
+        let (from, to) = (self.base(set) + from, self.base(set) + to);
+        let (key, value) = (self.keys[from], self.values[from]);
+        if from > to {
+            self.keys.copy_within(to..from, to + 1);
+            self.values.copy_within(to..from, to + 1);
+        } else {
+            self.keys.copy_within(from + 1..=to, from);
+            self.values.copy_within(from + 1..=to, from);
+        }
+        self.keys[to] = key;
+        self.values[to] = value;
+    }
+
+    /// Places an absent key as MRU of `set`, returning the LRU entry it
+    /// displaced when the set was full.
+    fn fill_front(&mut self, set: usize, key: K, value: V) -> Option<(K, V)> {
+        let base = self.base(set);
+        let n = self.fill[set] as usize;
+        let victim = if n == self.ways {
+            self.stats.evictions += 1;
+            Some((self.keys[base + n - 1], self.values[base + n - 1]))
+        } else {
+            self.fill[set] += 1;
+            None
+        };
+        let kept = n.min(self.ways - 1);
+        self.keys.copy_within(base..base + kept, base + 1);
+        self.values.copy_within(base..base + kept, base + 1);
+        self.keys[base] = key;
+        self.values[base] = value;
+        victim
+    }
+
+    /// Removes the entry at `pos` of `set`, returning it.
+    fn remove_at(&mut self, set: usize, pos: usize) -> (K, V) {
+        let base = self.base(set);
+        let n = self.fill[set] as usize;
+        let entry = (self.keys[base + pos], self.values[base + pos]);
+        self.shift(set, pos, n - 1);
+        self.fill[set] -= 1;
+        entry
+    }
+
+    /// Counts a hit or miss for `key` and promotes a hit to MRU; returns
+    /// the key's set and, on a hit, the position it was promoted from.
+    fn lookup(&mut self, key: &K) -> (usize, Option<usize>) {
+        let set = self.set_of(key);
+        let pos = self.find(set, key);
+        match pos {
+            Some(pos) => {
+                self.stats.hits += 1;
+                self.shift(set, pos, 0);
+            }
+            None => self.stats.misses += 1,
+        }
+        (set, pos)
     }
 
     /// Looks the key up, counting a hit or miss and promoting a hit to MRU.
     pub fn get(&mut self, key: &K) -> Option<&mut V> {
-        let set = self.set_of(key);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|w| &w.key == key) {
-            self.stats.hits += 1;
-            let w = ways.remove(pos);
-            ways.insert(0, w);
-            Some(&mut ways[0].value)
-        } else {
-            self.stats.misses += 1;
-            None
+        let (set, pos) = self.lookup(key);
+        let base = self.base(set);
+        pos.map(|_| &mut self.values[base])
+    }
+
+    /// Probes `key` with one scan of its set: a hit is counted and
+    /// promoted to MRU exactly as [`SetAssocCache::get`] does. On a miss,
+    /// which is counted likewise, `fill` runs; if it yields a value, the
+    /// key is installed as MRU exactly as [`SetAssocCache::insert`] would
+    /// install it, without scanning the set again. `fill` must not touch
+    /// this cache (the borrow checker enforces it). Returns whether the
+    /// key hit.
+    pub fn get_or_fill(&mut self, key: K, fill: impl FnOnce() -> Option<V>) -> bool {
+        let (set, pos) = self.lookup(&key);
+        if pos.is_some() {
+            return true;
         }
+        if let Some(value) = fill() {
+            self.fill_front(set, key, value);
+        }
+        false
     }
 
     /// [`SetAssocCache::get`] with an undo record; returns whether the key
     /// hit. Designed for unit-payload caches, so the value itself is not
     /// exposed.
     pub fn get_recorded(&mut self, key: &K) -> (bool, CacheUndo<K, V>) {
-        let set = self.set_of(key);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|w| &w.key == key) {
-            self.stats.hits += 1;
-            let w = ways.remove(pos);
-            ways.insert(0, w);
-            (
+        match self.lookup(key) {
+            (set, Some(pos)) => (
                 true,
                 CacheUndo::Hit {
                     set: set as u32,
                     pos: pos as u16,
                 },
-            )
-        } else {
-            self.stats.misses += 1;
-            (false, CacheUndo::Miss)
+            ),
+            (_, None) => (false, CacheUndo::Miss),
         }
     }
 
@@ -213,29 +305,23 @@ impl<K: CacheKey, V> SetAssocCache<K, V> {
     /// (if any) is captured in the record instead of being returned.
     pub fn insert_recorded(&mut self, key: K, value: V) -> CacheUndo<K, V> {
         let set = self.set_of(&key);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|w| w.key == key) {
-            let mut w = ways.remove(pos);
-            let prev = std::mem::replace(&mut w.value, value);
-            ways.insert(0, w);
+        if let Some(pos) = self.find(set, &key) {
+            let base = self.base(set);
+            let prev = std::mem::replace(&mut self.values[base + pos], value);
+            self.shift(set, pos, 0);
             return CacheUndo::Replaced {
                 set: set as u32,
                 pos: pos as u16,
                 value: prev,
             };
         }
-        if ways.len() == self.ways {
-            self.stats.evictions += 1;
-            let victim = ways.pop().expect("full set is non-empty");
-            ways.insert(0, Way { key, value });
-            CacheUndo::Evicted {
+        match self.fill_front(set, key, value) {
+            Some((key, value)) => CacheUndo::Evicted {
                 set: set as u32,
-                key: victim.key,
-                value: victim.value,
-            }
-        } else {
-            ways.insert(0, Way { key, value });
-            CacheUndo::Inserted { set: set as u32 }
+                key,
+                value,
+            },
+            None => CacheUndo::Inserted { set: set as u32 },
         }
     }
 
@@ -245,25 +331,25 @@ impl<K: CacheKey, V> SetAssocCache<K, V> {
         match undo {
             CacheUndo::Hit { set, pos } => {
                 self.stats.hits -= 1;
-                let ways = &mut self.sets[set as usize];
-                let w = ways.remove(0);
-                ways.insert(pos as usize, w);
+                self.shift(set as usize, 0, pos as usize);
             }
             CacheUndo::Miss => self.stats.misses -= 1,
             CacheUndo::Inserted { set } => {
-                self.sets[set as usize].remove(0);
+                self.remove_at(set as usize, 0);
             }
             CacheUndo::Evicted { set, key, value } => {
                 self.stats.evictions -= 1;
-                let ways = &mut self.sets[set as usize];
-                ways.remove(0);
-                ways.push(Way { key, value });
+                let set = set as usize;
+                let last = self.base(set) + self.ways - 1;
+                self.shift(set, 0, self.ways - 1);
+                self.keys[last] = key;
+                self.values[last] = value;
             }
             CacheUndo::Replaced { set, pos, value } => {
-                let ways = &mut self.sets[set as usize];
-                let mut w = ways.remove(0);
-                w.value = value;
-                ways.insert(pos as usize, w);
+                let set = set as usize;
+                let base = self.base(set);
+                self.values[base] = value;
+                self.shift(set, 0, pos as usize);
             }
         }
     }
@@ -271,70 +357,68 @@ impl<K: CacheKey, V> SetAssocCache<K, V> {
     /// Looks the key up without touching recency or statistics.
     pub fn peek(&self, key: &K) -> Option<&V> {
         let set = self.set_of(key);
-        self.sets[set].iter().find(|w| &w.key == key).map(|w| &w.value)
+        self.find(set, key).map(|pos| &self.values[self.base(set) + pos])
     }
 
     /// Inserts (or overwrites) the entry as MRU; returns the displaced LRU
     /// entry if the set was full with distinct keys.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
         let set = self.set_of(&key);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|w| w.key == key) {
-            let mut w = ways.remove(pos);
-            w.value = value;
-            ways.insert(0, w);
+        if let Some(pos) = self.find(set, &key) {
+            let base = self.base(set);
+            self.values[base + pos] = value;
+            self.shift(set, pos, 0);
             return None;
         }
-        let victim = if ways.len() == self.ways {
-            self.stats.evictions += 1;
-            ways.pop().map(|w| (w.key, w.value))
-        } else {
-            None
-        };
-        ways.insert(0, Way { key, value });
-        victim
+        self.fill_front(set, key, value)
     }
 
     /// Removes an entry, returning its value.
     pub fn invalidate(&mut self, key: &K) -> Option<V> {
         let set = self.set_of(key);
-        let ways = &mut self.sets[set];
-        let pos = ways.iter().position(|w| &w.key == key)?;
-        Some(ways.remove(pos).value)
+        let pos = self.find(set, key)?;
+        Some(self.remove_at(set, pos).1)
     }
 
     /// Removes every entry for which `pred` returns true; returns how many
     /// were removed. Used for flushing all lines/translations of a page.
     pub fn invalidate_matching<F: FnMut(&K) -> bool>(&mut self, mut pred: F) -> usize {
         let mut removed = 0;
-        for ways in &mut self.sets {
-            let before = ways.len();
-            ways.retain(|w| !pred(&w.key));
-            removed += before - ways.len();
+        for set in 0..self.fill.len() {
+            let base = self.base(set);
+            let n = self.fill[set] as usize;
+            let mut kept = 0;
+            for i in base..base + n {
+                if !pred(&self.keys[i]) {
+                    self.keys[base + kept] = self.keys[i];
+                    self.values[base + kept] = self.values[i];
+                    kept += 1;
+                }
+            }
+            self.fill[set] = kept as u32;
+            removed += n - kept;
         }
         removed
     }
 
     /// Empties the cache (TLB shootdown / cache flush).
     pub fn clear(&mut self) {
-        for ways in &mut self.sets {
-            ways.clear();
-        }
+        self.fill.fill(0);
     }
 
     /// Current number of resident entries.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.fill.iter().map(|&n| n as usize).sum()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.fill.iter().all(|&n| n == 0)
     }
 
     /// Total capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.sets.len() * self.ways
+        self.keys.len()
     }
 
     /// Hit/miss/eviction counters.
@@ -342,17 +426,20 @@ impl<K: CacheKey, V> SetAssocCache<K, V> {
         self.stats
     }
 
-    /// Iterates all resident `(key, value)` pairs (no recency effect).
+    /// Iterates all resident `(key, value)` pairs (no recency effect), set
+    /// by set, MRU first within a set.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.sets.iter().flatten().map(|w| (&w.key, &w.value))
+        self.fill.iter().enumerate().flat_map(move |(set, &n)| {
+            let base = self.base(set);
+            let range = base..base + n as usize;
+            self.keys[range.clone()].iter().zip(&self.values[range])
+        })
     }
 
     /// Drains every entry, returning them; used for write-back-all.
     pub fn drain_all(&mut self) -> Vec<(K, V)> {
-        let mut out = Vec::with_capacity(self.len());
-        for ways in &mut self.sets {
-            out.extend(ways.drain(..).map(|w| (w.key, w.value)));
-        }
+        let out = self.iter().map(|(k, v)| (*k, *v)).collect();
+        self.clear();
         out
     }
 }
@@ -451,9 +538,11 @@ mod tests {
     /// Full observable state: per-set way lists in recency order + stats.
     fn fingerprint(c: &SetAssocCache<u64, u32>) -> (Vec<Vec<(u64, u32)>>, CacheStats) {
         (
-            c.sets
-                .iter()
-                .map(|ways| ways.iter().map(|w| (w.key, w.value)).collect())
+            (0..c.fill.len())
+                .map(|set| {
+                    let base = c.base(set);
+                    (base..base + c.fill[set] as usize).map(|i| (c.keys[i], c.values[i])).collect()
+                })
                 .collect(),
             c.stats,
         )

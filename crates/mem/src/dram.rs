@@ -61,6 +61,15 @@ impl LruList {
         }
     }
 
+    /// Moves `idx` to the MRU end; a no-op when it is already there (most
+    /// accesses touch the same page as the GPU's previous access).
+    fn promote(&mut self, idx: usize) {
+        if self.head != Some(idx) {
+            self.unlink(idx);
+            self.push_front(idx);
+        }
+    }
+
     fn alloc(&mut self, page: PageId) -> usize {
         if let Some(idx) = self.free.pop() {
             self.nodes[idx] = LruNode {
@@ -141,8 +150,7 @@ impl GpuMemory {
     /// resident page just refreshes its recency.
     pub fn insert(&mut self, page: PageId) -> Option<PageId> {
         if let Some(&idx) = self.index.get(&page) {
-            self.lru.unlink(idx);
-            self.lru.push_front(idx);
+            self.lru.promote(idx);
             return None;
         }
         let victim = if self.index.len() == self.capacity_pages {
@@ -167,8 +175,7 @@ impl GpuMemory {
     /// Refreshes recency of a resident page; `true` if it was resident.
     pub fn touch(&mut self, page: PageId) -> bool {
         if let Some(&idx) = self.index.get(&page) {
-            self.lru.unlink(idx);
-            self.lru.push_front(idx);
+            self.lru.promote(idx);
             true
         } else {
             false

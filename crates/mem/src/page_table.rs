@@ -6,7 +6,7 @@
 //! to a remote GPU's memory (counter-based scheme, §II-B2), or to a local
 //! read-only replica (duplication, §II-B3).
 
-use grit_sim::{FxHashMap, GpuId, PageId};
+use grit_sim::{GpuId, PageId};
 
 /// How a GPU's local page table resolves a virtual page.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,7 +49,9 @@ impl Mapping {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct LocalPageTable {
-    entries: FxHashMap<PageId, Mapping>,
+    /// Mappings indexed by VPN, grown on demand.
+    entries: Vec<Option<Mapping>>,
+    valid: usize,
     invalidations: u64,
 }
 
@@ -59,20 +61,36 @@ impl LocalPageTable {
         LocalPageTable::default()
     }
 
+    /// An empty table with room for VPNs `0..pages` (a workload's
+    /// footprint); higher VPNs still map, growing the table.
+    pub fn with_pages(pages: usize) -> Self {
+        LocalPageTable {
+            entries: vec![None; pages],
+            ..LocalPageTable::default()
+        }
+    }
+
     /// Current mapping for a page, if any.
     pub fn lookup(&self, vpn: PageId) -> Option<Mapping> {
-        self.entries.get(&vpn).copied()
+        self.entries.get(vpn.vpn() as usize).copied().flatten()
     }
 
     /// Installs or replaces a mapping.
     pub fn map(&mut self, vpn: PageId, mapping: Mapping) {
-        self.entries.insert(vpn, mapping);
+        let i = vpn.vpn() as usize;
+        if i >= self.entries.len() {
+            self.entries.resize(i + 1, None);
+        }
+        if self.entries[i].replace(mapping).is_none() {
+            self.valid += 1;
+        }
     }
 
     /// Removes a mapping; `true` if one was present.
     pub fn invalidate(&mut self, vpn: PageId) -> bool {
-        let present = self.entries.remove(&vpn).is_some();
+        let present = self.entries.get_mut(vpn.vpn() as usize).and_then(Option::take).is_some();
         if present {
+            self.valid -= 1;
             self.invalidations += 1;
         }
         present
@@ -80,12 +98,12 @@ impl LocalPageTable {
 
     /// Number of valid entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.valid
     }
 
     /// Whether the table has no valid entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.valid == 0
     }
 
     /// Count of PTE invalidations performed (coherence traffic indicator).
@@ -93,9 +111,12 @@ impl LocalPageTable {
         self.invalidations
     }
 
-    /// Iterates `(page, mapping)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&PageId, &Mapping)> {
-        self.entries.iter()
+    /// Iterates `(page, mapping)` pairs in ascending VPN order.
+    pub fn iter(&self) -> impl Iterator<Item = (PageId, Mapping)> + '_ {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, m)| m.map(|m| (PageId(i as u64), m)))
     }
 }
 
@@ -115,6 +136,30 @@ mod tests {
         assert!(!pt.invalidate(PageId(3)));
         assert!(pt.is_empty());
         assert_eq!(pt.invalidations(), 1);
+    }
+
+    #[test]
+    fn maps_past_the_presized_footprint() {
+        let mut pt = LocalPageTable::with_pages(4);
+        pt.map(PageId(2), Mapping::Local);
+        // A next-page prefetch at the footprint edge lands past the end.
+        pt.map(PageId(4), Mapping::Replica);
+        pt.map(PageId(9), Mapping::RemoteHost);
+        assert_eq!(pt.len(), 3);
+        assert_eq!(pt.lookup(PageId(9)), Some(Mapping::RemoteHost));
+        assert_eq!(pt.lookup(PageId(7)), None);
+        assert_eq!(pt.lookup(PageId(100)), None);
+        assert!(!pt.invalidate(PageId(100)));
+        assert!(pt.invalidate(PageId(4)));
+        assert_eq!(pt.len(), 2);
+        let all: Vec<_> = pt.iter().collect();
+        assert_eq!(
+            all,
+            vec![
+                (PageId(2), Mapping::Local),
+                (PageId(9), Mapping::RemoteHost)
+            ]
+        );
     }
 
     #[test]

@@ -138,15 +138,22 @@ impl TlbHierarchy {
     /// accounts the walk itself).
     pub fn translate(&mut self, vpn: PageId) -> (TranslationLevel, Cycle) {
         let l1_lat = self.l1.lookup_latency();
-        if self.l1.access(vpn) {
+        let l2 = &mut self.l2;
+        let mut l2_hit = false;
+        // One scan of the L1 set: the refill on an L2 hit lands where the
+        // probe left off.
+        if self.l1.cache.get_or_fill(vpn, || {
+            l2_hit = l2.access(vpn);
+            l2_hit.then_some(())
+        }) {
             return (TranslationLevel::L1, l1_lat);
         }
-        let l2_lat = self.l2.lookup_latency();
-        if self.l2.access(vpn) {
-            self.l1.fill(vpn);
-            return (TranslationLevel::L2, l1_lat + l2_lat);
-        }
-        (TranslationLevel::Walk, l1_lat + l2_lat)
+        let level = if l2_hit {
+            TranslationLevel::L2
+        } else {
+            TranslationLevel::Walk
+        };
+        (level, l1_lat + self.l2.lookup_latency())
     }
 
     /// Installs a translation into both levels (walk completion).

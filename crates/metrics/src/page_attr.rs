@@ -1,10 +1,13 @@
 //! Per-page attribute tracking: private vs shared, read vs read-write
 //! (paper §IV-B, Figs. 4 and 9).
 
-use grit_sim::{AccessKind, FxHashMap, GpuId, GpuSet, PageId};
+use grit_sim::{AccessKind, GpuId, GpuSet, PageId};
 
 #[derive(Clone, Copy, Debug, Default)]
 struct PageRecord {
+    /// Whether the page has a record at all (slots past the pages seen
+    /// so far are untouched defaults).
+    touched: bool,
     accessors: GpuSet,
     written: bool,
     accesses: u64,
@@ -96,7 +99,9 @@ fn frac(n: u64, d: u64) -> f64 {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PageAttrTracker {
-    pages: FxHashMap<PageId, PageRecord>,
+    /// Records indexed by VPN, grown on demand.
+    pages: Vec<PageRecord>,
+    touched_pages: usize,
 }
 
 impl PageAttrTracker {
@@ -105,9 +110,45 @@ impl PageAttrTracker {
         PageAttrTracker::default()
     }
 
+    /// An empty tracker with room for VPNs `0..pages` (a workload's
+    /// footprint); higher VPNs still record, growing the table.
+    pub fn with_pages(pages: usize) -> Self {
+        PageAttrTracker {
+            pages: vec![PageRecord::default(); pages],
+            touched_pages: 0,
+        }
+    }
+
+    fn get(&self, vpn: PageId) -> Option<&PageRecord> {
+        self.pages.get(vpn.vpn() as usize).filter(|r| r.touched)
+    }
+
+    /// The record of `vpn`, created on first use.
+    fn entry(&mut self, vpn: PageId) -> &mut PageRecord {
+        let i = vpn.vpn() as usize;
+        if i >= self.pages.len() {
+            self.pages.resize(i + 1, PageRecord::default());
+        }
+        let rec = &mut self.pages[i];
+        if !rec.touched {
+            rec.touched = true;
+            self.touched_pages += 1;
+        }
+        rec
+    }
+
+    /// Touched pages with their records, in ascending VPN order.
+    fn records(&self) -> impl Iterator<Item = (PageId, &PageRecord)> + '_ {
+        self.pages
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.touched)
+            .map(|(i, r)| (PageId(i as u64), r))
+    }
+
     /// Records one access.
     pub fn record(&mut self, gpu: GpuId, vpn: PageId, kind: AccessKind) {
-        let rec = self.pages.entry(vpn).or_default();
+        let rec = self.entry(vpn);
         rec.accessors.insert(gpu);
         rec.written |= kind.is_write();
         rec.accesses += 1;
@@ -115,73 +156,62 @@ impl PageAttrTracker {
 
     /// Whether the page has been touched by more than one GPU so far.
     pub fn is_shared(&self, vpn: PageId) -> bool {
-        self.pages.get(&vpn).is_some_and(|r| r.accessors.len() > 1)
+        self.get(vpn).is_some_and(|r| r.accessors.len() > 1)
     }
 
     /// Whether the page has been written so far.
     pub fn is_written(&self, vpn: PageId) -> bool {
-        self.pages.get(&vpn).is_some_and(|r| r.written)
+        self.get(vpn).is_some_and(|r| r.written)
     }
 
     /// Number of distinct pages touched.
     pub fn pages_touched(&self) -> usize {
-        self.pages.len()
+        self.touched_pages
     }
 
     /// The most-accessed page with at least `min_sharers` distinct GPU
     /// accessors — how the Fig. 5/10 drivers pick "a certain page" to
     /// track. Deterministic: ties break toward the lowest VPN.
     pub fn hottest(&self, min_sharers: usize) -> Option<PageId> {
-        self.pages
-            .iter()
+        self.records()
             .filter(|(_, r)| r.accessors.len() >= min_sharers)
             .max_by_key(|(vpn, r)| (r.accesses, std::cmp::Reverse(vpn.vpn())))
-            .map(|(vpn, _)| *vpn)
+            .map(|(vpn, _)| vpn)
     }
 
     /// Like [`PageAttrTracker::hottest`] but restricted to pages with at
     /// least one write (Fig. 10 tracks a read-write page).
     pub fn hottest_written(&self, min_sharers: usize) -> Option<PageId> {
-        self.pages
-            .iter()
+        self.records()
             .filter(|(_, r)| r.accessors.len() >= min_sharers && r.written)
             .max_by_key(|(vpn, r)| (r.accesses, std::cmp::Reverse(vpn.vpn())))
-            .map(|(vpn, _)| *vpn)
+            .map(|(vpn, _)| vpn)
     }
 
     /// Iterates `(page, sharer count, written, accesses)` for every page
-    /// touched — profile data for oracle-style placement.
+    /// touched, in ascending VPN order — profile data for oracle-style
+    /// placement.
     pub fn iter_pages(&self) -> impl Iterator<Item = (PageId, usize, bool, u64)> + '_ {
-        self.pages
-            .iter()
-            .map(|(vpn, r)| (*vpn, r.accessors.len(), r.written, r.accesses))
+        self.records().map(|(vpn, r)| (vpn, r.accessors.len(), r.written, r.accesses))
     }
 
     /// Exports every page record as `(vpn, accessor bitmask, written,
     /// accesses)`, sorted by VPN — a stable wire form for on-disk result
     /// stores. [`PageAttrTracker::from_exported`] inverts it exactly.
     pub fn export_pages(&self) -> Vec<(u64, u16, bool, u64)> {
-        let mut rows: Vec<_> = self
-            .pages
-            .iter()
+        self.records()
             .map(|(vpn, r)| (vpn.vpn(), r.accessors.bits(), r.written, r.accesses))
-            .collect();
-        rows.sort_unstable_by_key(|&(vpn, ..)| vpn);
-        rows
+            .collect()
     }
 
     /// Rebuilds a tracker from [`PageAttrTracker::export_pages`] rows.
     pub fn from_exported(rows: &[(u64, u16, bool, u64)]) -> Self {
         let mut t = PageAttrTracker::new();
         for &(vpn, bits, written, accesses) in rows {
-            t.pages.insert(
-                PageId(vpn),
-                PageRecord {
-                    accessors: GpuSet::from_bits(bits),
-                    written,
-                    accesses,
-                },
-            );
+            let rec = t.entry(PageId(vpn));
+            rec.accessors = GpuSet::from_bits(bits);
+            rec.written = written;
+            rec.accesses = accesses;
         }
         t
     }
@@ -189,7 +219,7 @@ impl PageAttrTracker {
     /// Aggregates the whole-run summary.
     pub fn summary(&self) -> PageAttrSummary {
         let mut s = PageAttrSummary::default();
-        for rec in self.pages.values() {
+        for (_, rec) in self.records() {
             s.total_pages += 1;
             let shared = rec.accessors.len() > 1;
             if shared {
@@ -288,6 +318,31 @@ mod tests {
         assert!(back.is_shared(PageId(7)));
         assert!(back.is_written(PageId(7)));
         assert_eq!(back.hottest(1), t.hottest(1));
+    }
+
+    #[test]
+    fn records_past_the_presized_footprint() {
+        let mut t = PageAttrTracker::with_pages(4);
+        t.record(g(0), PageId(2), AccessKind::Read);
+        // A next-page prefetch at the footprint edge lands past the end.
+        t.record(g(1), PageId(4), AccessKind::Write);
+        t.record(g(0), PageId(9), AccessKind::Read);
+        t.record(g(2), PageId(9), AccessKind::Read);
+        assert_eq!(t.pages_touched(), 3);
+        assert!(t.is_shared(PageId(9)) && t.is_written(PageId(4)));
+        assert!(!t.is_shared(PageId(7)) && !t.is_written(PageId(100)));
+        let pages: Vec<_> = t.iter_pages().collect();
+        assert_eq!(
+            pages,
+            vec![
+                (PageId(2), 1, false, 1),
+                (PageId(4), 1, true, 1),
+                (PageId(9), 2, false, 2),
+            ]
+        );
+        assert_eq!(t.summary().total_pages, 3);
+        let rows = t.export_pages();
+        assert_eq!(PageAttrTracker::from_exported(&rows).export_pages(), rows);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The UVM driver's centralized page table (§II-A): authoritative per-page
 //! state for every GPU in the node, including GRIT's scheme and group bits.
 
-use grit_sim::{FxHashMap, GpuId, GpuSet, GroupSize, MemLoc, PageId, Scheme};
+use grit_sim::{GpuId, GpuSet, GroupSize, MemLoc, PageId, Scheme};
 
 /// Authoritative state of one virtual page.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -67,7 +67,9 @@ impl PageState {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct CentralPageTable {
-    pages: FxHashMap<PageId, PageState>,
+    /// Explicit entries indexed by VPN, grown on demand.
+    pages: Vec<Option<PageState>>,
+    len: usize,
 }
 
 impl CentralPageTable {
@@ -76,24 +78,45 @@ impl CentralPageTable {
         CentralPageTable::default()
     }
 
+    /// An empty table with room for VPNs `0..pages` (a workload's
+    /// footprint); higher VPNs still get entries, growing the table.
+    pub fn with_pages(pages: usize) -> Self {
+        CentralPageTable {
+            pages: vec![None; pages],
+            len: 0,
+        }
+    }
+
+    fn get(&self, vpn: PageId) -> Option<&PageState> {
+        self.pages.get(vpn.vpn() as usize).and_then(Option::as_ref)
+    }
+
     /// Read-only state of a page (default state if never touched).
     pub fn page(&self, vpn: PageId) -> PageState {
-        self.pages.get(&vpn).copied().unwrap_or_default()
+        self.get(vpn).copied().unwrap_or_default()
     }
 
     /// Mutable state of a page, creating the default entry on first use.
     pub fn page_mut(&mut self, vpn: PageId) -> &mut PageState {
-        self.pages.entry(vpn).or_default()
+        let i = vpn.vpn() as usize;
+        if i >= self.pages.len() {
+            self.pages.resize(i + 1, None);
+        }
+        let slot = &mut self.pages[i];
+        if slot.is_none() {
+            self.len += 1;
+        }
+        slot.get_or_insert_with(PageState::default)
     }
 
     /// Whether the page has an explicit entry.
     pub fn contains(&self, vpn: PageId) -> bool {
-        self.pages.contains_key(&vpn)
+        self.get(vpn).is_some()
     }
 
     /// Scheme bits of a page (`None` = unset `00`).
     pub fn scheme_of(&self, vpn: PageId) -> Option<Scheme> {
-        self.pages.get(&vpn).and_then(|p| p.scheme)
+        self.get(vpn).and_then(|p| p.scheme)
     }
 
     /// Sets the scheme bits of a page.
@@ -103,7 +126,7 @@ impl CentralPageTable {
 
     /// Group bits of a page (meaningful on base pages).
     pub fn group_of(&self, vpn: PageId) -> GroupSize {
-        self.pages.get(&vpn).map_or(GroupSize::One, |p| p.group)
+        self.get(vpn).map_or(GroupSize::One, |p| p.group)
     }
 
     /// Sets the group bits of a page.
@@ -113,17 +136,20 @@ impl CentralPageTable {
 
     /// Number of pages with explicit entries.
     pub fn len(&self) -> usize {
-        self.pages.len()
+        self.len
     }
 
     /// Whether no page has been touched.
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.len == 0
     }
 
-    /// Iterates `(page, state)` in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&PageId, &PageState)> {
-        self.pages.iter()
+    /// Iterates `(page, state)` in ascending VPN order.
+    pub fn iter(&self) -> impl Iterator<Item = (PageId, &PageState)> + '_ {
+        self.pages
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| p.as_ref().map(|p| (PageId(i as u64), p)))
     }
 
     /// Marks a fault by `gpu` on `vpn`, updating sharer/written/touched
@@ -184,6 +210,19 @@ mod tests {
     fn host_owner_not_in_holders() {
         let t = CentralPageTable::new();
         assert!(t.page(PageId(1)).holders().is_empty());
+    }
+
+    #[test]
+    fn entries_past_the_presized_footprint() {
+        let mut t = CentralPageTable::with_pages(4);
+        t.set_scheme(PageId(6), Scheme::Duplication);
+        t.note_fault(GpuId::new(1), PageId(1), true);
+        assert_eq!(t.len(), 2);
+        assert!(t.contains(PageId(6)));
+        assert!(!t.contains(PageId(5)) && !t.contains(PageId(60)));
+        assert_eq!(t.page(PageId(60)), PageState::default());
+        let vpns: Vec<_> = t.iter().map(|(vpn, _)| vpn).collect();
+        assert_eq!(vpns, vec![PageId(1), PageId(6)]);
     }
 
     #[test]

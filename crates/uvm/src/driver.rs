@@ -246,8 +246,10 @@ impl UvmDriver {
             fabric.set_fault_plan(plan.clone());
         }
         Ok(UvmDriver {
-            central: CentralPageTable::new(),
-            local_pts: (0..cfg.num_gpus).map(|_| LocalPageTable::new()).collect(),
+            central: CentralPageTable::with_pages(footprint_pages as usize),
+            local_pts: (0..cfg.num_gpus)
+                .map(|_| LocalPageTable::with_pages(footprint_pages as usize))
+                .collect(),
             memories: (0..cfg.num_gpus).map(|_| GpuMemory::new(cap)).collect(),
             fabric,
             counters: AccessCounters::new(cfg.access_counter_threshold, cfg.page_size),
@@ -523,7 +525,7 @@ impl UvmDriver {
                     ),
                 ));
             }
-            for (&vpn, &mapping) in pt.iter() {
+            for (vpn, mapping) in pt.iter() {
                 let state = self.central.page(vpn);
                 match mapping {
                     Mapping::Local => {
@@ -580,7 +582,7 @@ impl UvmDriver {
             }
         }
         // Replica holders must be resident.
-        for (&vpn, state) in self.central.iter() {
+        for (vpn, state) in self.central.iter() {
             for holder in state.replicas.iter() {
                 if holder.index() >= self.cfg.num_gpus {
                     return Err(fail(

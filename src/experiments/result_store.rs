@@ -60,6 +60,12 @@ pub const STORE_SCHEMA: &str = "grit-result-store/v3";
 /// keep their contents.
 pub const STORE_SCHEMA_V2: &str = "grit-result-store/v2";
 
+/// Highest page number a stored result may name. The page-attribute
+/// table is indexed by page number, so a load allocates in proportion to
+/// the highest one; 2^24 4 KB pages (64 GiB) is about 400 times the
+/// largest Table II footprint, and the table then stays under 256 MiB.
+const MAX_STORED_VPN: u64 = 1 << 24;
+
 /// Subdirectory (under the store root) holding files that failed an
 /// integrity check on load.
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -497,7 +503,7 @@ fn decode_output(v: &Json) -> Option<RunOutput> {
             return None;
         }
         pages.push((
-            row[0].as_u64()?,
+            row[0].as_u64().filter(|&vpn| vpn <= MAX_STORED_VPN)?,
             u16::try_from(row[1].as_u64()?).ok()?,
             row[2].as_bool()?,
             row[3].as_u64()?,
@@ -605,6 +611,25 @@ mod tests {
             "a valid v2 file is not corrupt"
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_page_past_the_bound_is_rejected_before_allocating() {
+        let out = tiny_output();
+        let mut doc = encode_output("k", &out);
+        assert!(decode_output(&doc).is_some());
+        if let Json::Obj(fields) = &mut doc {
+            let pages = fields.iter_mut().find(|(k, _)| k == "pages").unwrap();
+            if let Json::Arr(rows) = &mut pages.1 {
+                rows.push(Json::Arr(vec![
+                    Json::UInt(MAX_STORED_VPN + 1),
+                    Json::UInt(1),
+                    Json::Bool(false),
+                    Json::UInt(1),
+                ]));
+            }
+        }
+        assert!(decode_output(&doc).is_none());
     }
 
     #[test]

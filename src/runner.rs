@@ -15,8 +15,7 @@
 //! thread count; see `DESIGN.md` §14 for the protocol and its safety
 //! argument.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
 use grit_mem::{CacheKey, Mapping, SetAssocCache, TlbHierarchy, TranslationLevel, WalkerPool};
@@ -27,7 +26,7 @@ use grit_metrics::{
 use grit_prof::{span, Phase, SpecStats};
 use grit_sim::{
     Access, AccessKind, AccessStream, CancelState, CancelToken, CellError, ConfigError, Cycle,
-    FxHashMap, GpuId, GritError, InjectConfig, LatencyConfig, MemLoc, MlpWindow, PageId, SimConfig,
+    GpuId, GritError, InjectConfig, LatencyConfig, MemLoc, MlpWindow, PageId, SimConfig,
     SliceStream, TopologyConfig,
 };
 use grit_trace::{CellTiming, TraceEvent, Tracer};
@@ -40,7 +39,7 @@ use grit_workloads::MultiGpuWorkload;
 /// L2 data-cache key: page + generation + line. Bumping a page's
 /// generation on invalidation makes all of its cached lines unreachable in
 /// O(1) instead of scanning the cache.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 struct LineKey {
     vpn: PageId,
     generation: u32,
@@ -73,13 +72,15 @@ struct GpuFrontend {
     walker: WalkerPool,
     l1: SetAssocCache<LineKey, ()>,
     l2: SetAssocCache<LineKey, ()>,
-    line_generation: FxHashMap<PageId, u32>,
+    /// Per-page line generation, indexed by VPN (pre-sized to the
+    /// footprint, grown on demand); pages past the end are generation 0.
+    line_generation: Vec<u32>,
     finished: bool,
     last_done: Cycle,
 }
 
 impl GpuFrontend {
-    fn new(cfg: &SimConfig, stream: SliceStream, barriers: Vec<usize>) -> Self {
+    fn new(cfg: &SimConfig, stream: SliceStream, barriers: Vec<usize>, pages: usize) -> Self {
         GpuFrontend {
             stream,
             barriers,
@@ -94,7 +95,7 @@ impl GpuFrontend {
             walker: WalkerPool::new(cfg.walk),
             l1: SetAssocCache::with_entries(cfg.l1_cache.entries, cfg.l1_cache.ways),
             l2: SetAssocCache::with_entries(cfg.l2_cache.entries, cfg.l2_cache.ways),
-            line_generation: FxHashMap::default(),
+            line_generation: vec![0; pages],
             finished: false,
             last_done: 0,
         }
@@ -108,14 +109,18 @@ impl GpuFrontend {
     fn line_key(&self, vpn: PageId, line: u16) -> LineKey {
         LineKey {
             vpn,
-            generation: self.line_generation.get(&vpn).copied().unwrap_or(0),
+            generation: self.line_generation.get(vpn.vpn() as usize).copied().unwrap_or(0),
             line,
         }
     }
 
     fn invalidate_page(&mut self, vpn: PageId) {
         self.tlb.invalidate(vpn);
-        *self.line_generation.entry(vpn).or_insert(0) += 1;
+        let i = vpn.vpn() as usize;
+        if i >= self.line_generation.len() {
+            self.line_generation.resize(i + 1, 0);
+        }
+        self.line_generation[i] += 1;
     }
 
     /// Drops the 2 MB translation of a splintered frame. Base-page TLB
@@ -661,10 +666,6 @@ pub struct RunOutput {
 pub struct Simulation {
     cfg: SimConfig,
     gpus: Vec<GpuFrontend>,
-    /// Min-heap of `(ready, gpu)` over runnable GPUs. Entries go stale when
-    /// a stall raises a GPU's ready cycle; [`Simulation::pop_next_gpu`]
-    /// refreshes them lazily, replacing the per-access O(num_gpus) scan.
-    ready_heap: BinaryHeap<Reverse<(Cycle, usize)>>,
     driver: UvmDriver,
     attrs: PageAttrTracker,
     scheme_mix: SchemeMix,
@@ -839,18 +840,17 @@ impl Simulation {
             ));
         }
         let driver = UvmDriver::try_new(cfg.clone(), workload.footprint_pages, policy)?;
+        let pages = workload.footprint_pages as usize;
         let gpus: Vec<GpuFrontend> = workload
             .streams
             .into_iter()
             .zip(workload.barriers)
-            .map(|(s, b)| GpuFrontend::new(&cfg, s, b))
+            .map(|(s, b)| GpuFrontend::new(&cfg, s, b, pages))
             .collect();
-        let ready_heap = (0..gpus.len()).map(|i| Reverse((0, i))).collect();
         Ok(Simulation {
             gpus,
-            ready_heap,
             driver,
-            attrs: PageAttrTracker::new(),
+            attrs: PageAttrTracker::with_pages(pages),
             scheme_mix: SchemeMix::default(),
             accesses: 0,
             local_accesses: 0,
@@ -941,10 +941,10 @@ impl Simulation {
         }
     }
 
-    /// One iteration of the serial event loop: pop the GPU with the
+    /// One iteration of the serial event loop: pick the GPU with the
     /// smallest `(ready, index)` key and handle its next event.
     fn serial_step(&mut self) -> Result<StepOutcome, GritError> {
-        let Some(g) = self.pop_next_gpu() else {
+        let Some(g) = self.next_gpu() else {
             if self.gpus.iter().all(|g| g.finished) {
                 return Ok(StepOutcome::AllFinished);
             }
@@ -957,8 +957,6 @@ impl Simulation {
             self.apply_outcome(g, &out);
         }
         if self.gpus[g].at_barrier() {
-            // Not re-pushed: the GPU re-enters the heap when the
-            // barrier releases.
             self.gpus[g].waiting = true;
             return Ok(StepOutcome::Progress);
         }
@@ -966,7 +964,6 @@ impl Simulation {
             Some(acc) => {
                 self.gpus[g].consumed += 1;
                 self.process(g, acc)?;
-                self.ready_heap.push(Reverse((self.gpus[g].ready, g)));
             }
             None => {
                 let drained = self.gpus[g].window.drain_time();
@@ -1283,26 +1280,18 @@ impl Simulation {
         }
     }
 
-    /// Removes and returns the runnable GPU with the smallest ready cycle
-    /// (ties broken toward the lowest index, matching a linear scan).
-    ///
-    /// Ready cycles only ever advance, so a heap entry can be *below* its
-    /// GPU's current ready (a stall landed after the push) but never above;
-    /// stale entries are refreshed in place. Every runnable GPU has exactly
-    /// one entry; the caller re-pushes after advancing the GPU it popped.
-    fn pop_next_gpu(&mut self) -> Option<usize> {
-        while let Some(Reverse((ready, g))) = self.ready_heap.pop() {
-            let f = &self.gpus[g];
-            if f.finished || f.waiting {
-                continue;
+    /// The runnable GPU with the smallest `(ready, index)` key: ties go to
+    /// the lowest index; waiting and finished GPUs are skipped. A scan
+    /// over the handful of frontends reads each GPU's current ready
+    /// cycle, so stalls placed on peers need no bookkeeping.
+    fn next_gpu(&self) -> Option<usize> {
+        let mut best: Option<(Cycle, usize)> = None;
+        for (g, f) in self.gpus.iter().enumerate() {
+            if !f.finished && !f.waiting && best.is_none_or(|(ready, _)| f.ready < ready) {
+                best = Some((f.ready, g));
             }
-            if f.ready != ready {
-                self.ready_heap.push(Reverse((f.ready, g)));
-                continue;
-            }
-            return Some(g);
         }
-        None
+        best.map(|(_, g)| g)
     }
 
     /// Releases all GPUs held at a kernel boundary once everyone arrived:
@@ -1317,13 +1306,12 @@ impl Simulation {
             };
             sync = sync.max(t);
         }
-        for (i, g) in self.gpus.iter_mut().enumerate() {
+        for g in &mut self.gpus {
             if g.waiting {
                 g.waiting = false;
                 g.next_barrier += 1;
                 g.ready = sync;
                 g.last_done = g.last_done.max(sync);
-                self.ready_heap.push(Reverse((sync, i)));
             }
         }
     }
@@ -1426,13 +1414,17 @@ impl Simulation {
             })?;
         }
 
-        // Data access through the cache hierarchy.
-        let key = self.gpus[g].line_key(vpn, acc.line);
-        if self.gpus[g].l1.get(&key).is_some() {
+        // Data access through the cache hierarchy. Each level is probed
+        // and, on a miss, filled in one scan of its set. Nothing below
+        // touches this GPU's data caches (an invalidation only bumps the
+        // page's line generation), so filling before the driver calls
+        // leaves the caches as filling after them would.
+        let f = &mut self.gpus[g];
+        let key = f.line_key(vpn, acc.line);
+        if f.l1.get_or_fill(key, || Some(())) {
             t += self.cfg.lat.l1_data_hit;
-        } else if self.gpus[g].l2.get(&key).is_some() {
+        } else if f.l2.get_or_fill(key, || Some(())) {
             t += self.cfg.lat.l2_data_hit;
-            self.gpus[g].l1.insert(key, ());
         } else {
             match mapping {
                 Mapping::Local | Mapping::Replica => {
@@ -1457,8 +1449,6 @@ impl Simulation {
                     }
                 }
             }
-            self.gpus[g].l2.insert(key, ());
-            self.gpus[g].l1.insert(key, ());
         }
         self.complete(g, t);
         Ok(())
@@ -1711,6 +1701,72 @@ mod tests {
         Simulation::try_new(cfg, w, policy).unwrap().try_run().unwrap()
     }
 
+    /// A four-GPU simulation with one access queued per GPU, so every
+    /// frontend starts runnable.
+    fn four_gpu_sim() -> Simulation {
+        let cfg = SimConfig {
+            num_gpus: 4,
+            ..SimConfig::default()
+        };
+        let w = tiny_workload(
+            vec![vec![Access::read(PageId(1), 0)]; 4],
+            vec![vec![]; 4],
+            4,
+        );
+        let policy = Box::new(StaticPolicy::new(Scheme::OnTouch));
+        Simulation::try_new(cfg, w, policy).unwrap()
+    }
+
+    #[test]
+    fn scheduler_breaks_ready_ties_toward_the_lowest_gpu() {
+        let mut sim = four_gpu_sim();
+        assert_eq!(sim.next_gpu(), Some(0));
+        for (g, ready) in [(0, 30), (1, 20), (2, 10), (3, 10)] {
+            sim.gpus[g].ready = ready;
+        }
+        assert_eq!(sim.next_gpu(), Some(2));
+        sim.gpus[2].ready = 11;
+        assert_eq!(sim.next_gpu(), Some(3));
+    }
+
+    #[test]
+    fn scheduler_honours_stalls_placed_on_peers() {
+        let mut sim = four_gpu_sim();
+        for (g, ready) in [(0, 10), (1, 12), (2, 50), (3, 50)] {
+            sim.gpus[g].ready = ready;
+        }
+        // A driver operation on GPU 0 stalls GPU 1 past everyone else,
+        // and leaves GPU 2 alone because its ready cycle is already later.
+        let out = DriverOutcome {
+            stalls: vec![(GpuId::new(1), 100), (GpuId::new(2), 40)],
+            ..DriverOutcome::default()
+        };
+        sim.apply_outcome(0, &out);
+        assert_eq!((sim.gpus[1].ready, sim.gpus[2].ready), (100, 50));
+        sim.gpus[0].ready = 60;
+        assert_eq!(sim.next_gpu(), Some(2));
+        sim.gpus[2].ready = 200;
+        sim.gpus[3].ready = 200;
+        assert_eq!(sim.next_gpu(), Some(0));
+        sim.gpus[0].ready = 150;
+        assert_eq!(sim.next_gpu(), Some(1));
+    }
+
+    #[test]
+    fn scheduler_skips_waiting_and_finished_gpus() {
+        let mut sim = four_gpu_sim();
+        for (g, ready) in [(0, 5), (1, 6), (2, 7), (3, 8)] {
+            sim.gpus[g].ready = ready;
+        }
+        sim.gpus[0].waiting = true;
+        sim.gpus[1].finished = true;
+        assert_eq!(sim.next_gpu(), Some(2));
+        sim.gpus[2].waiting = true;
+        assert_eq!(sim.next_gpu(), Some(3));
+        sim.gpus[3].finished = true;
+        assert_eq!(sim.next_gpu(), None);
+    }
+
     #[test]
     fn empty_streams_finish_at_zero_cost() {
         let w = tiny_workload(vec![vec![], vec![]], vec![vec![], vec![]], 4);
@@ -1830,7 +1886,7 @@ mod tests {
     #[test]
     fn line_key_generation_isolates_invalidated_pages() {
         let cfg = SimConfig::default();
-        let mut f = GpuFrontend::new(&cfg, SliceStream::new(vec![]), vec![]);
+        let mut f = GpuFrontend::new(&cfg, SliceStream::new(vec![]), vec![], 0);
         let k1 = f.line_key(PageId(7), 3);
         f.invalidate_page(PageId(7));
         let k2 = f.line_key(PageId(7), 3);
