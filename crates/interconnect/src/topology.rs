@@ -98,7 +98,7 @@ pub struct Fabric {
     pcie_ctrl: Vec<Link>,
     /// Per-transfer-hop queue-wait distribution: how long each booked
     /// hop sat behind earlier traffic before its wire freed up. Cycle
-    /// domain, so deterministic at any `--jobs`/`--sim-threads`.
+    /// domain, so deterministic at any `--jobs`.
     queue_hist: LatencyHistogram,
     /// Event sink for link-transfer events; disabled by default.
     tracer: Tracer,
@@ -358,17 +358,6 @@ impl Fabric {
         self.links.len()
     }
 
-    /// Smallest one-way latency of any segment that can carry a cross-GPU
-    /// interaction: the cheapest topology wire, or the host PCIe hop when
-    /// that is cheaper (fault messages and host fills cross it). No packet
-    /// between distinct GPUs completes in fewer cycles, so this bounds the
-    /// safe lookahead of a time-sharded event loop.
-    pub fn min_wire_latency(&self) -> Cycle {
-        let wire = self.graph.min_latency().unwrap_or(Cycle::MAX);
-        let pcie = self.pcie.first().map_or(Cycle::MAX, |l| l.latency());
-        wire.min(pcie)
-    }
-
     /// The link-id path between two distinct GPUs, ordered from the
     /// lower-numbered GPU to the higher one.
     pub fn route(&self, a: GpuId, b: GpuId) -> &[u32] {
@@ -437,18 +426,6 @@ mod tests {
         }
         assert_eq!(seen.len(), 6);
         assert_eq!(f.num_wire_links(), 6);
-    }
-
-    #[test]
-    fn min_wire_latency_bounds_every_class() {
-        let links = LinkConfig::default();
-        // All-to-all: NVLink (350) vs PCIe (450) — NVLink wins.
-        assert_eq!(fabric(4).min_wire_latency(), links.nvlink_latency);
-        // NvSwitch halves the hop latency, undercutting both.
-        let switched = fabric_of(TopologyKind::NvSwitch, 8);
-        assert!(switched.min_wire_latency() < links.nvlink_latency);
-        // A single GPU has no wires; PCIe is the only segment left.
-        assert_eq!(fabric(1).min_wire_latency(), links.pcie_latency);
     }
 
     #[test]

@@ -66,52 +66,6 @@ impl CacheStats {
     }
 }
 
-/// Inverse record of one mutating cache operation, produced by
-/// [`SetAssocCache::get_recorded`] / [`SetAssocCache::insert_recorded`] and
-/// consumed by [`SetAssocCache::undo`].
-///
-/// Undo records must be applied in exact reverse order of the operations
-/// that produced them; doing so restores the cache — contents, LRU order
-/// within every set, and statistics — byte for byte. This powers
-/// speculative-execution rollback in the time-sharded runner at a cost
-/// proportional to the work undone instead of the cache size.
-#[derive(Clone, Debug)]
-pub enum CacheUndo<K, V> {
-    /// A `get` hit promoted the way at `pos` to MRU.
-    Hit {
-        /// Set index.
-        set: u32,
-        /// Position the way was promoted from.
-        pos: u16,
-    },
-    /// A `get` missed; only the miss counter moved.
-    Miss,
-    /// An `insert` placed a fresh key without displacing anything.
-    Inserted {
-        /// Set index.
-        set: u32,
-    },
-    /// An `insert` displaced the LRU way of a full set.
-    Evicted {
-        /// Set index.
-        set: u32,
-        /// Displaced key.
-        key: K,
-        /// Displaced value.
-        value: V,
-    },
-    /// An `insert` over an existing key promoted it from `pos` and
-    /// overwrote its value.
-    Replaced {
-        /// Set index.
-        set: u32,
-        /// Position the way was promoted from.
-        pos: u16,
-        /// The overwritten value.
-        value: V,
-    },
-}
-
 /// Set-associative cache with per-set true-LRU order (front = MRU).
 ///
 /// Storage is flat: one key array and one value array of `sets × ways`
@@ -283,75 +237,6 @@ impl<K: CacheKey + Copy + Default, V: Copy + Default> SetAssocCache<K, V> {
             self.fill_front(set, key, value);
         }
         false
-    }
-
-    /// [`SetAssocCache::get`] with an undo record; returns whether the key
-    /// hit. Designed for unit-payload caches, so the value itself is not
-    /// exposed.
-    pub fn get_recorded(&mut self, key: &K) -> (bool, CacheUndo<K, V>) {
-        match self.lookup(key) {
-            (set, Some(pos)) => (
-                true,
-                CacheUndo::Hit {
-                    set: set as u32,
-                    pos: pos as u16,
-                },
-            ),
-            (_, None) => (false, CacheUndo::Miss),
-        }
-    }
-
-    /// [`SetAssocCache::insert`] with an undo record; the displaced entry
-    /// (if any) is captured in the record instead of being returned.
-    pub fn insert_recorded(&mut self, key: K, value: V) -> CacheUndo<K, V> {
-        let set = self.set_of(&key);
-        if let Some(pos) = self.find(set, &key) {
-            let base = self.base(set);
-            let prev = std::mem::replace(&mut self.values[base + pos], value);
-            self.shift(set, pos, 0);
-            return CacheUndo::Replaced {
-                set: set as u32,
-                pos: pos as u16,
-                value: prev,
-            };
-        }
-        match self.fill_front(set, key, value) {
-            Some((key, value)) => CacheUndo::Evicted {
-                set: set as u32,
-                key,
-                value,
-            },
-            None => CacheUndo::Inserted { set: set as u32 },
-        }
-    }
-
-    /// Reverses one recorded operation. Records must be undone in exact
-    /// reverse order of the operations that produced them.
-    pub fn undo(&mut self, undo: CacheUndo<K, V>) {
-        match undo {
-            CacheUndo::Hit { set, pos } => {
-                self.stats.hits -= 1;
-                self.shift(set as usize, 0, pos as usize);
-            }
-            CacheUndo::Miss => self.stats.misses -= 1,
-            CacheUndo::Inserted { set } => {
-                self.remove_at(set as usize, 0);
-            }
-            CacheUndo::Evicted { set, key, value } => {
-                self.stats.evictions -= 1;
-                let set = set as usize;
-                let last = self.base(set) + self.ways - 1;
-                self.shift(set, 0, self.ways - 1);
-                self.keys[last] = key;
-                self.values[last] = value;
-            }
-            CacheUndo::Replaced { set, pos, value } => {
-                let set = set as usize;
-                let base = self.base(set);
-                self.values[base] = value;
-                self.shift(set, 0, pos as usize);
-            }
-        }
     }
 
     /// Looks the key up without touching recency or statistics.
@@ -533,56 +418,5 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_geometry_panics() {
         let _: SetAssocCache<u64, ()> = SetAssocCache::new(0, 4);
-    }
-
-    /// Full observable state: per-set way lists in recency order + stats.
-    fn fingerprint(c: &SetAssocCache<u64, u32>) -> (Vec<Vec<(u64, u32)>>, CacheStats) {
-        (
-            (0..c.fill.len())
-                .map(|set| {
-                    let base = c.base(set);
-                    (base..base + c.fill[set] as usize).map(|i| (c.keys[i], c.values[i])).collect()
-                })
-                .collect(),
-            c.stats,
-        )
-    }
-
-    #[test]
-    fn recorded_ops_match_plain_ops() {
-        let mut a: SetAssocCache<u64, u32> = SetAssocCache::new(2, 2);
-        let mut b: SetAssocCache<u64, u32> = SetAssocCache::new(2, 2);
-        for k in [1u64, 3, 5, 1, 2, 3] {
-            assert_eq!(a.get_recorded(&k).0, b.get(&k).is_some());
-            a.insert_recorded(k, k as u32);
-            b.insert(k, k as u32);
-        }
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-    }
-
-    #[test]
-    fn undo_in_reverse_restores_exact_state() {
-        // A tiny geometry forces every undo variant: hits, misses, fresh
-        // inserts, evictions, and same-key replacements.
-        let mut c: SetAssocCache<u64, u32> = SetAssocCache::new(2, 2);
-        c.insert(1, 10);
-        c.insert(3, 30);
-        c.insert(2, 20);
-        c.get(&1);
-        let before = fingerprint(&c);
-        let mut undos = Vec::new();
-        // Deterministic mixed op sequence touching both sets.
-        for (i, k) in [1u64, 5, 2, 7, 1, 9, 4, 3, 5, 2].into_iter().enumerate() {
-            if i % 2 == 0 {
-                undos.push(c.get_recorded(&k).1);
-            } else {
-                undos.push(c.insert_recorded(k, (k * 100 + i as u64) as u32));
-            }
-        }
-        assert_ne!(fingerprint(&c), before);
-        for u in undos.into_iter().rev() {
-            c.undo(u);
-        }
-        assert_eq!(fingerprint(&c), before);
     }
 }

@@ -30,8 +30,8 @@ pub mod page_table;
 pub mod tlb;
 pub mod walker;
 
-pub use cache::{CacheKey, CacheStats, CacheUndo, SetAssocCache};
+pub use cache::{CacheKey, CacheStats, SetAssocCache};
 pub use dram::GpuMemory;
 pub use page_table::{LocalPageTable, Mapping};
-pub use tlb::{Tlb, TlbFillUndo, TlbHierarchy, TlbTranslateUndo, TranslationLevel};
-pub use walker::{WalkUndo, WalkerPool};
+pub use tlb::{Tlb, TlbHierarchy, TranslationLevel};
+pub use walker::WalkerPool;

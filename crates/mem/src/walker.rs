@@ -3,7 +3,7 @@
 
 use grit_sim::{Cycle, PageId, WalkConfig};
 
-use crate::cache::{CacheUndo, SetAssocCache};
+use crate::cache::SetAssocCache;
 
 /// Result of scheduling one page-table walk.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -51,18 +51,6 @@ pub struct WalkerPool {
 
 /// Bits of VPN consumed per radix level (x86-style 512-entry tables).
 const BITS_PER_LEVEL: u32 = 9;
-
-/// Undo record for one [`WalkerPool::walk_recorded`] call.
-#[derive(Clone, Debug)]
-pub struct WalkUndo {
-    /// How many retired completion times the call appended to the arena.
-    pub retired: u32,
-    stalled: bool,
-    cache_ops: Vec<CacheUndo<u64, ()>>,
-    walker: u32,
-    prev_free_at: Cycle,
-    levels: u32,
-}
 
 impl WalkerPool {
     /// Builds the pool.
@@ -140,94 +128,6 @@ impl WalkerPool {
             done_at: done,
             levels_fetched,
             queue_wait: start - arrival,
-        }
-    }
-
-    /// [`WalkerPool::walk`] with an undo record for speculative rollback.
-    ///
-    /// Outstanding-walk completion times retired by this call are appended
-    /// to `retired` (the caller's undo arena) so [`WalkerPool::undo_walk`]
-    /// can reinstate them in order.
-    pub fn walk_recorded(
-        &mut self,
-        mut now: Cycle,
-        vpn: PageId,
-        retired: &mut Vec<Cycle>,
-    ) -> (WalkOutcome, WalkUndo) {
-        let arrival = now;
-        let start = retired.len();
-        while self.outstanding.front().is_some_and(|&t| t <= now) {
-            retired.push(self.outstanding.pop_front().expect("front checked"));
-        }
-        let mut stalled = false;
-        if self.outstanding.len() >= self.cfg.queue_capacity + self.cfg.walkers {
-            if let Some(&head) = self.outstanding.front() {
-                now = now.max(head);
-                self.queue_full_stalls += 1;
-                stalled = true;
-            }
-        }
-        let mut cache_ops = Vec::new();
-        let mut levels_fetched = self.cfg.levels;
-        for level in 1..self.cfg.levels {
-            let (hit, u) = self.walk_cache.get_recorded(&Self::level_key(vpn, level));
-            cache_ops.push(u);
-            if hit {
-                levels_fetched = level;
-                break;
-            }
-        }
-        for level in 1..self.cfg.levels {
-            cache_ops.push(self.walk_cache.insert_recorded(Self::level_key(vpn, level), ()));
-        }
-        let (idx, &free_at) = self
-            .walker_free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &t)| t)
-            .expect("at least one walker");
-        let start_cycle = now.max(free_at);
-        let latency = levels_fetched as Cycle * self.cfg.cycles_per_level;
-        let done = start_cycle + latency;
-        self.walker_free_at[idx] = done;
-        self.outstanding.push_back(done);
-        self.walks += 1;
-        self.total_levels += levels_fetched as u64;
-        (
-            WalkOutcome {
-                done_at: done,
-                levels_fetched,
-                queue_wait: start_cycle - arrival,
-            },
-            WalkUndo {
-                retired: (retired.len() - start) as u32,
-                stalled,
-                cache_ops,
-                walker: idx as u32,
-                prev_free_at: free_at,
-                levels: levels_fetched,
-            },
-        )
-    }
-
-    /// Reverses one [`WalkerPool::walk_recorded`] call. `retired` must be
-    /// exactly the values that call appended to the arena.
-    pub fn undo_walk(&mut self, undo: WalkUndo, retired: &[Cycle]) {
-        debug_assert_eq!(undo.retired as usize, retired.len());
-        self.outstanding.pop_back();
-        self.walker_free_at[undo.walker as usize] = undo.prev_free_at;
-        for u in undo.cache_ops.into_iter().rev() {
-            self.walk_cache.undo(u);
-        }
-        if undo.stalled {
-            self.queue_full_stalls -= 1;
-        }
-        self.walks -= 1;
-        self.total_levels -= undo.levels as u64;
-        // Retired values were popped from the front in order; push them
-        // back in reverse so the original order is restored.
-        for &t in retired.iter().rev() {
-            self.outstanding.push_front(t);
         }
     }
 
@@ -319,46 +219,6 @@ mod tests {
         let o = w.walk(0, PageId(999 << 40));
         assert!(o.queue_wait > 0);
         assert_eq!(w.queue_full_stalls(), 1);
-    }
-
-    #[test]
-    fn recorded_walks_match_and_undo_exactly() {
-        let mut a = pool();
-        let mut b = pool();
-        // A mixed sequence: cold walks, neighbours sharing prefixes, and
-        // enough load that outstanding walks retire mid-sequence.
-        let seq: Vec<(Cycle, u64)> = vec![
-            (0, 0),
-            (0, 513),
-            (100, 1 << 40),
-            (450, 514),
-            (900, 2 << 40),
-            (2000, 1),
-        ];
-        let mut arena = Vec::new();
-        let mut undos = Vec::new();
-        let mark = |arena: &Vec<Cycle>| arena.len();
-        let mut marks = Vec::new();
-        for &(now, p) in &seq {
-            marks.push(mark(&arena));
-            let (out, u) = a.walk_recorded(now, PageId(p), &mut arena);
-            assert_eq!(out, b.walk(now, PageId(p)));
-            undos.push(u);
-        }
-        // Roll everything back in reverse; arena slices pop like a stack.
-        for (u, m) in undos.into_iter().zip(marks).rev() {
-            let vals: Vec<Cycle> = arena.split_off(m);
-            a.undo_walk(u, &vals);
-        }
-        let fresh = pool();
-        assert_eq!(a.walks(), fresh.walks());
-        assert_eq!(a.queue_full_stalls(), fresh.queue_full_stalls());
-        assert_eq!(a.mean_levels(), fresh.mean_levels());
-        // Behavioural check: the rolled-back pool walks like a fresh one.
-        let mut fresh = fresh;
-        for &(now, p) in &seq {
-            assert_eq!(a.walk(now, PageId(p)), fresh.walk(now, PageId(p)));
-        }
     }
 
     #[test]

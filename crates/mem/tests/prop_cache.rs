@@ -83,12 +83,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// the others the `%` path.
 const GEOMETRIES: [(usize, usize); 4] = [(4, 3), (8, 2), (6, 3), (12, 4)];
 
-/// Resident entries in iteration order (set by set, MRU first) plus
-/// statistics: everything observable about a cache.
-fn snapshot(c: &SetAssocCache<u64, u32>) -> (Vec<(u64, u32)>, CacheStats) {
-    (c.iter().map(|(k, v)| (*k, *v)).collect(), c.stats())
-}
-
 fn count_lookup(stats: &mut CacheStats, hit: bool) {
     if hit {
         stats.hits += 1;
@@ -149,43 +143,6 @@ proptest! {
     fn cache_matches_reference_model(ops in prop::collection::vec(op_strategy(), 1..400)) {
         for (sets, ways) in GEOMETRIES {
             check_against_model(sets, ways, &ops)?;
-        }
-    }
-
-    #[test]
-    fn recorded_ops_match_plain_ops_and_undo_exactly(
-        prefix in prop::collection::vec(((0u64..48), any::<u32>(), any::<bool>()), 0..80),
-        ops in prop::collection::vec(((0u64..48), any::<u32>(), any::<bool>()), 1..120),
-    ) {
-        for (sets, ways) in GEOMETRIES {
-            let mut recorded: SetAssocCache<u64, u32> = SetAssocCache::new(sets, ways);
-            let mut plain: SetAssocCache<u64, u32> = SetAssocCache::new(sets, ways);
-            for &(k, v, is_get) in &prefix {
-                for c in [&mut recorded, &mut plain] {
-                    if is_get {
-                        c.get(&k);
-                    } else {
-                        c.insert(k, v);
-                    }
-                }
-            }
-            let before = snapshot(&recorded);
-            let mut undos = Vec::new();
-            for &(k, v, is_get) in &ops {
-                if is_get {
-                    let (hit, undo) = recorded.get_recorded(&k);
-                    prop_assert_eq!(hit, plain.get(&k).is_some());
-                    undos.push(undo);
-                } else {
-                    undos.push(recorded.insert_recorded(k, v));
-                    plain.insert(k, v);
-                }
-                prop_assert_eq!(snapshot(&recorded), snapshot(&plain));
-            }
-            for undo in undos.into_iter().rev() {
-                recorded.undo(undo);
-            }
-            prop_assert_eq!(snapshot(&recorded), before);
         }
     }
 

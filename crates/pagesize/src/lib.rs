@@ -13,9 +13,8 @@
 //!
 //! The crate deliberately owns no driver state: the UVM driver (in
 //! `grit-uvm`) remains the single authority on residency and replication
-//! and consults [`LargePageTable`] on its serial paths only, so the
-//! sharded runner's speculation rounds always observe frozen large-page
-//! state. Eligibility is decided by *re-scanning* the affected frame
+//! and consults [`LargePageTable`] on its fault, migration and eviction
+//! paths. Eligibility is decided by *re-scanning* the affected frame
 //! against the authoritative page table (via a caller-supplied lookup)
 //! rather than by mirroring every residency delta — slower per check,
 //! but impossible to drift out of sync.

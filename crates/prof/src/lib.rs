@@ -2,10 +2,9 @@
 //!
 //! The simulator's existing observability is all in the *simulated* cycle
 //! domain (trace events, latency breakdowns, histograms). This crate adds
-//! the other axis: span-based wall-clock phase timers, speculation
-//! telemetry for the sharded engine, and a Chrome trace-event export —
-//! the profiling layer the 32–64-GPU scale work needs before it can be
-//! driven by data instead of guesses.
+//! the other axis: span-based wall-clock phase timers and a Chrome
+//! trace-event export — the profiling layer the 32–64-GPU scale work
+//! needs before it can be driven by data instead of guesses.
 //!
 //! # Design
 //!
@@ -16,8 +15,8 @@
 //!   owns a slot of relaxed atomic counters (nanoseconds and
 //!   span counts per [`Phase`]). Slots register once in a global list;
 //!   [`phase_totals`] merges them on demand. Nothing on the hot path
-//!   takes a lock, so the sharded engine's determinism surfaces — which
-//!   are all in the cycle domain — are untouched by timing.
+//!   takes a lock, so the engine's determinism surfaces — which are all
+//!   in the cycle domain — are untouched by timing.
 //! * **Determinism boundary.** Wall-clock data is inherently
 //!   nondeterministic and lives only here and in the report's `wall`
 //!   section. Cycle-domain profile data (queue-depth and latency
@@ -48,18 +47,10 @@ pub enum Phase {
     Migration,
     /// Fabric link booking: GPU↔GPU, host staging and PCIe transfers.
     FabricTransfer,
-    /// Sharded engine: finding the cut and merging speculative logs.
-    SpecClassify,
-    /// Sharded engine: workers speculatively advancing pure accesses.
-    SpecExecute,
-    /// Sharded engine: rewinding entries past the cut.
-    SpecRollback,
-    /// Sharded engine: committing surviving entries in canonical order.
-    SpecCommit,
 }
 
 /// Number of [`Phase`] variants (array sizes).
-pub const NUM_PHASES: usize = 9;
+pub const NUM_PHASES: usize = 5;
 
 impl Phase {
     /// Every phase, in display order.
@@ -69,10 +60,6 @@ impl Phase {
         Phase::FaultHandling,
         Phase::Migration,
         Phase::FabricTransfer,
-        Phase::SpecClassify,
-        Phase::SpecExecute,
-        Phase::SpecRollback,
-        Phase::SpecCommit,
     ];
 
     /// Stable snake_case name used in reports and trace exports.
@@ -83,10 +70,6 @@ impl Phase {
             Phase::FaultHandling => "fault_handling",
             Phase::Migration => "migration",
             Phase::FabricTransfer => "fabric_transfer",
-            Phase::SpecClassify => "spec_classify",
-            Phase::SpecExecute => "spec_execute",
-            Phase::SpecRollback => "spec_rollback",
-            Phase::SpecCommit => "spec_commit",
         }
     }
 
@@ -125,75 +108,6 @@ pub struct SpanEvent {
     pub tid: u64,
 }
 
-/// Speculation telemetry for one sharded (`--sim-threads`) run.
-///
-/// Inherently thread-count-dependent (a serial run has zero rounds), so
-/// it lives in the report's `speculation` section, outside the
-/// byte-identity comparison surface.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct SpecStats {
-    /// Optimistic rounds executed.
-    pub rounds: u64,
-    /// Events speculatively executed by workers.
-    pub speculated: u64,
-    /// Speculated events that survived the cut and committed.
-    pub committed: u64,
-    /// Speculated events rewound past the cut.
-    pub rewound: u64,
-    /// Events executed through the serial path (cuts + degraded bursts).
-    pub serial: u64,
-    /// Rounds in which at least one shard stopped at the lookahead
-    /// horizon with input remaining (rather than at a serial event).
-    pub horizon_stalls: u64,
-    /// Cycles of speculative headroom lost to the horizon: for each
-    /// horizon-stalled shard, how far past the horizon its next event
-    /// was ready to run.
-    pub horizon_stall_cycles: u64,
-    /// Committed speculative events per GPU (load-imbalance view).
-    pub per_gpu_committed: Vec<u64>,
-}
-
-impl SpecStats {
-    /// Fraction of speculated events that were rewound (0 when nothing
-    /// was speculated).
-    pub fn rollback_rate(&self) -> f64 {
-        if self.speculated == 0 {
-            0.0
-        } else {
-            self.rewound as f64 / self.speculated as f64
-        }
-    }
-
-    /// Ratio of the busiest GPU's committed events to the mean (1.0 when
-    /// perfectly balanced or empty).
-    pub fn load_imbalance(&self) -> f64 {
-        let n = self.per_gpu_committed.len();
-        let total: u64 = self.per_gpu_committed.iter().sum();
-        if n == 0 || total == 0 {
-            return 1.0;
-        }
-        let max = *self.per_gpu_committed.iter().max().expect("non-empty") as f64;
-        max / (total as f64 / n as f64)
-    }
-
-    /// Element-wise accumulation of another run's stats.
-    pub fn merge(&mut self, other: &SpecStats) {
-        self.rounds += other.rounds;
-        self.speculated += other.speculated;
-        self.committed += other.committed;
-        self.rewound += other.rewound;
-        self.serial += other.serial;
-        self.horizon_stalls += other.horizon_stalls;
-        self.horizon_stall_cycles += other.horizon_stall_cycles;
-        if self.per_gpu_committed.len() < other.per_gpu_committed.len() {
-            self.per_gpu_committed.resize(other.per_gpu_committed.len(), 0);
-        }
-        for (a, b) in self.per_gpu_committed.iter_mut().zip(&other.per_gpu_committed) {
-            *a += b;
-        }
-    }
-}
-
 /// Per-thread lock-free accumulator: relaxed atomics per phase, plus a
 /// bounded event buffer used only when capture is on.
 struct ThreadSlot {
@@ -230,11 +144,6 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 fn registry() -> &'static Mutex<Vec<Arc<ThreadSlot>>> {
     static REGISTRY: OnceLock<Mutex<Vec<Arc<ThreadSlot>>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn spec() -> &'static Mutex<SpecStats> {
-    static SPEC: OnceLock<Mutex<SpecStats>> = OnceLock::new();
-    SPEC.get_or_init(|| Mutex::new(SpecStats::default()))
 }
 
 /// Process-wide time origin: all captured span timestamps are offsets
@@ -378,18 +287,8 @@ pub fn drain_events() -> (Vec<SpanEvent>, u64) {
     (all, dropped)
 }
 
-/// Accumulates one run's speculation telemetry into the process totals.
-pub fn record_spec(stats: &SpecStats) {
-    spec().lock().expect("prof spec poisoned").merge(stats);
-}
-
-/// The accumulated speculation telemetry.
-pub fn spec_stats() -> SpecStats {
-    spec().lock().expect("prof spec poisoned").clone()
-}
-
-/// Zeroes every accumulator: phase totals, captured events, speculation
-/// telemetry. Thread registrations survive (slots are reused).
+/// Zeroes every accumulator: phase totals and captured events. Thread
+/// registrations survive (slots are reused).
 pub fn reset() {
     let slots = registry().lock().expect("prof registry poisoned");
     for slot in slots.iter() {
@@ -400,7 +299,6 @@ pub fn reset() {
         slot.events.lock().expect("prof events poisoned").clear();
         slot.dropped.store(0, Ordering::Relaxed);
     }
-    *spec().lock().expect("prof spec poisoned") = SpecStats::default();
 }
 
 /// Renders captured events as a Chrome trace-event (Perfetto-loadable)
@@ -519,7 +417,7 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 std::thread::spawn(|| {
-                    let _s = span(Phase::SpecExecute);
+                    let _s = span(Phase::Translate);
                 })
             })
             .collect();
@@ -528,7 +426,7 @@ mod tests {
         }
         set_enabled(false);
         let t = phase_totals();
-        let se = t.iter().find(|p| p.phase == Phase::SpecExecute).unwrap();
+        let se = t.iter().find(|p| p.phase == Phase::Translate).unwrap();
         assert_eq!(se.count, 4);
     }
 
@@ -551,35 +449,6 @@ mod tests {
         assert_eq!(current_phase(), None);
         set_track_current(false);
         set_enabled(false);
-    }
-
-    #[test]
-    fn spec_stats_merge_and_rates() {
-        let _g = guard();
-        reset();
-        let mut s = SpecStats {
-            rounds: 10,
-            speculated: 100,
-            committed: 80,
-            rewound: 20,
-            serial: 10,
-            horizon_stalls: 3,
-            horizon_stall_cycles: 900,
-            per_gpu_committed: vec![60, 20],
-        };
-        assert!((s.rollback_rate() - 0.2).abs() < 1e-12);
-        assert!((s.load_imbalance() - 1.5).abs() < 1e-12);
-        s.merge(&SpecStats {
-            rounds: 2,
-            per_gpu_committed: vec![0, 0, 5],
-            ..Default::default()
-        });
-        assert_eq!(s.rounds, 12);
-        assert_eq!(s.per_gpu_committed, vec![60, 20, 5]);
-        record_spec(&s);
-        assert_eq!(spec_stats().rounds, 12);
-        reset();
-        assert_eq!(spec_stats(), SpecStats::default());
     }
 
     #[test]

@@ -31,17 +31,6 @@ pub struct MlpWindow {
     stall_cycles: Cycle,
 }
 
-/// Undo record for one [`MlpWindow::issue_at_recorded`] call.
-#[derive(Clone, Copy, Debug)]
-pub struct MlpIssueUndo {
-    /// How many retired completion times the call appended to the arena.
-    pub retired: u32,
-    /// The completion time popped because the window was full, if any.
-    pub forced: Option<Cycle>,
-    /// Stall cycles the call charged (issue time minus ready time).
-    pub stalled: Cycle,
-}
-
 impl MlpWindow {
     /// A window allowing `capacity` outstanding operations.
     ///
@@ -96,107 +85,8 @@ impl MlpWindow {
         last
     }
 
-    /// [`MlpWindow::issue_at`] with an undo record for speculative
-    /// execution: completion times retired by this call are appended to
-    /// `retired` (the caller's undo arena) so [`MlpWindow::undo_issue`]
-    /// can reinstate them on rollback.
-    pub fn issue_at_recorded(
-        &mut self,
-        ready: Cycle,
-        retired: &mut Vec<Cycle>,
-    ) -> (Cycle, MlpIssueUndo) {
-        let start = retired.len();
-        while let Some(&Reverse(t)) = self.inflight.peek() {
-            if t <= ready {
-                self.inflight.pop();
-                retired.push(t);
-            } else {
-                break;
-            }
-        }
-        let n = (retired.len() - start) as u32;
-        if self.inflight.len() < self.capacity {
-            (
-                ready,
-                MlpIssueUndo {
-                    retired: n,
-                    forced: None,
-                    stalled: 0,
-                },
-            )
-        } else {
-            let Reverse(t) = self.inflight.pop().expect("window non-empty");
-            let issue = t.max(ready);
-            self.stall_cycles += issue - ready;
-            (
-                issue,
-                MlpIssueUndo {
-                    retired: n,
-                    forced: Some(t),
-                    stalled: issue - ready,
-                },
-            )
-        }
-    }
-
-    /// Reverses one [`MlpWindow::issue_at_recorded`] call. `retired` must be
-    /// exactly the values that call appended to the arena. The in-flight
-    /// multiset (the only observable state) is restored exactly; the heap's
-    /// internal layout may differ, which no operation can distinguish.
-    pub fn undo_issue(&mut self, undo: MlpIssueUndo, retired: &[Cycle]) {
-        debug_assert_eq!(undo.retired as usize, retired.len());
-        self.stall_cycles -= undo.stalled;
-        if let Some(t) = undo.forced {
-            self.inflight.push(Reverse(t));
-        }
-        for &t in retired {
-            self.inflight.push(Reverse(t));
-        }
-    }
-
-    /// Reverses one [`MlpWindow::complete`] call by removing one in-flight
-    /// instance of `done`.
-    pub fn uncomplete(&mut self, done: Cycle) {
-        let mut v = std::mem::take(&mut self.inflight).into_vec();
-        match v.iter().position(|&Reverse(t)| t == done) {
-            Some(p) => {
-                v.swap_remove(p);
-            }
-            None => debug_assert!(false, "uncomplete of a value not in flight"),
-        }
-        self.inflight = BinaryHeap::from(v);
-    }
-
-    /// [`MlpWindow::drain_time`] with an undo record: every completion time
-    /// popped is appended to `drained` so [`MlpWindow::undo_drain`] can
-    /// reinstate the window.
-    pub fn drain_time_recorded(&mut self, drained: &mut Vec<Cycle>) -> Cycle {
-        let mut last = self.last_drain;
-        while let Some(Reverse(t)) = self.inflight.pop() {
-            last = last.max(t);
-            drained.push(t);
-        }
-        self.last_drain = last;
-        last
-    }
-
-    /// Reverses one [`MlpWindow::drain_time_recorded`] call.
-    pub fn undo_drain(&mut self, prev_last_drain: Cycle, drained: &[Cycle]) {
-        self.last_drain = prev_last_drain;
-        for &t in drained {
-            self.inflight.push(Reverse(t));
-        }
-    }
-
-    /// The current drain high-water mark (for speculative undo records).
-    pub fn last_drain_mark(&self) -> Cycle {
-        self.last_drain
-    }
-
     /// Total cycles issues waited on a full window (issue time minus
     /// ready time, summed): the GPU's memory-level-parallelism stall.
-    /// Deterministic — speculative issues that roll back subtract their
-    /// contribution in [`MlpWindow::undo_issue`].
     pub fn stall_cycles(&self) -> Cycle {
         self.stall_cycles
     }
@@ -275,42 +165,8 @@ mod tests {
         let _ = MlpWindow::new(0);
     }
 
-    /// In-flight multiset of a window, order-insensitive.
-    fn contents(w: &MlpWindow) -> Vec<Cycle> {
-        let mut v: Vec<Cycle> = w.inflight.iter().map(|&Reverse(t)| t).collect();
-        v.sort_unstable();
-        v
-    }
-
     #[test]
-    fn issue_recorded_matches_plain_issue_and_undoes() {
-        let mut a = MlpWindow::new(2);
-        let mut b = MlpWindow::new(2);
-        for w in [&mut a, &mut b] {
-            w.complete(50);
-            w.complete(120);
-        }
-        let before = contents(&a);
-        let mut arena = Vec::new();
-        // Retires 50 (<= 80), then forces out 120 because the window is
-        // still full after a fresh complete.
-        let (t1, u1) = a.issue_at_recorded(80, &mut arena);
-        assert_eq!(t1, b.issue_at(80));
-        a.complete(200);
-        b.complete(200);
-        let m2 = arena.len();
-        let (t2, u2) = a.issue_at_recorded(80, &mut arena);
-        assert_eq!(t2, b.issue_at(80));
-        assert_eq!(contents(&a), contents(&b));
-        // Reverse order: last issue first, each with its arena slice.
-        a.undo_issue(u2, &arena[m2..]);
-        a.uncomplete(200);
-        a.undo_issue(u1, &arena[..m2]);
-        assert_eq!(contents(&a), before);
-    }
-
-    #[test]
-    fn stall_cycles_accumulate_and_undo() {
+    fn stall_cycles_accumulate() {
         let mut w = MlpWindow::new(1);
         assert_eq!(w.issue_at(10), 10);
         assert_eq!(w.stall_cycles(), 0);
@@ -319,27 +175,7 @@ mod tests {
         assert_eq!(w.issue_at(40), 100);
         assert_eq!(w.stall_cycles(), 60);
         w.complete(300);
-        let mut arena = Vec::new();
-        let (t, undo) = w.issue_at_recorded(250, &mut arena);
-        assert_eq!(t, 300);
-        assert_eq!(undo.stalled, 50);
+        assert_eq!(w.issue_at(250), 300);
         assert_eq!(w.stall_cycles(), 110);
-        // Rolling the speculative issue back restores the stall total.
-        w.undo_issue(undo, &arena);
-        assert_eq!(w.stall_cycles(), 60);
-    }
-
-    #[test]
-    fn drain_recorded_roundtrips() {
-        let mut w = MlpWindow::new(4);
-        w.complete(10);
-        w.complete(99);
-        let before = contents(&w);
-        let mut drained = Vec::new();
-        assert_eq!(w.drain_time_recorded(&mut drained), 99);
-        assert_eq!(w.in_flight(), 0);
-        w.undo_drain(0, &drained);
-        assert_eq!(contents(&w), before);
-        assert_eq!(w.drain_time(), 99);
     }
 }

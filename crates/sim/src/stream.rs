@@ -91,22 +91,6 @@ impl SliceStream {
     pub fn remaining(&self) -> usize {
         self.trace.len() - self.pos
     }
-
-    /// The next access, without advancing the cursor.
-    pub fn peek(&self) -> Option<Access> {
-        self.trace.get(self.pos).copied()
-    }
-
-    /// Moves the cursor back by `n` accesses (speculative-execution
-    /// rollback).
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `n` accesses have been consumed.
-    pub fn rewind(&mut self, n: usize) {
-        assert!(n <= self.pos, "cannot rewind past the start of the stream");
-        self.pos -= n;
-    }
 }
 
 impl AccessStream for SliceStream {
@@ -153,32 +137,6 @@ mod tests {
         assert_eq!(s.len_hint(), Some(1));
         assert!(s.next_access().is_some());
         assert!(s.next_access().is_none());
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut s = SliceStream::new(vec![Access::read(PageId(4), 2)]);
-        assert_eq!(s.peek(), Some(Access::read(PageId(4), 2)));
-        assert_eq!(s.peek(), s.next_access());
-        assert_eq!(s.peek(), None);
-        assert_eq!(s.next_access(), None);
-    }
-
-    #[test]
-    fn rewind_steps_the_cursor_back() {
-        let mut s: SliceStream = (0..3).map(|i| Access::read(PageId(i), 0)).collect();
-        s.next_access();
-        s.next_access();
-        s.rewind(2);
-        assert_eq!(s.next_access(), Some(Access::read(PageId(0), 0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "rewind past the start")]
-    fn rewind_past_start_panics() {
-        let mut s: SliceStream = (0..3).map(|i| Access::read(PageId(i), 0)).collect();
-        s.next_access();
-        s.rewind(2);
     }
 
     #[test]

@@ -47,16 +47,6 @@ pub struct TopoGraph {
     pub links: Vec<LinkSpec>,
 }
 
-impl TopoGraph {
-    /// Smallest one-way latency of any link in the graph, or `None` for a
-    /// wireless graph (single GPU). This bounds how soon any cross-GPU
-    /// interaction can become visible: no packet reaches another GPU in
-    /// fewer cycles than the cheapest wire.
-    pub fn min_latency(&self) -> Option<u64> {
-        self.links.iter().map(|l| l.latency).min()
-    }
-}
-
 /// A topology shape that can lay out its link graph and bound its routes.
 pub trait Topology {
     /// Stable display name (matches [`TopologyKind::name`]).
@@ -447,20 +437,6 @@ mod tests {
             assert_eq!(legacy(l.a, l.b), id);
             assert_eq!(l.class, HopClass::Nvlink);
         }
-    }
-
-    #[test]
-    fn min_latency_is_the_cheapest_wire_of_any_class() {
-        let links = LinkConfig::default();
-        // All-to-all has only NVLinks, so the minimum is the NVLink latency.
-        let g = graph_of(TopologyKind::AllToAll, 4);
-        assert_eq!(g.min_latency(), Some(links.nvlink_latency));
-        // Switched fabrics bottom out at the cheaper uplink hop.
-        let g = graph_of(TopologyKind::NvSwitch, 8);
-        let expected = g.links.iter().map(|l| l.latency).min().unwrap();
-        assert_eq!(g.min_latency(), Some(expected));
-        // A single GPU has no wires at all.
-        assert_eq!(graph_of(TopologyKind::AllToAll, 1).min_latency(), None);
     }
 
     #[test]

@@ -59,11 +59,6 @@ fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
     req(v, key)?.as_f64().ok_or_else(|| format!("field {key:?} is not a number"))
 }
 
-/// Integer field that older documents may lack entirely.
-fn opt_u64(v: &Json, key: &str) -> Option<u64> {
-    req(v, key).ok().and_then(Json::as_u64)
-}
-
 fn req_str(v: &Json, key: &str) -> Result<String, String> {
     Ok(req(v, key)?
         .as_str()
@@ -826,8 +821,6 @@ pub struct BatchProfile {
     pub cells: u64,
     /// Worker threads used.
     pub jobs: u64,
-    /// Event-loop threads sharding each cell (`--sim-threads`).
-    pub sim_threads: u64,
     /// Wall-clock seconds for the whole batch.
     pub wall_seconds: f64,
     /// Workload-cache hits during the batch.
@@ -841,7 +834,6 @@ impl BatchProfile {
         Json::Obj(vec![
             ("cells".into(), Json::UInt(self.cells)),
             ("jobs".into(), Json::UInt(self.jobs)),
-            ("sim_threads".into(), Json::UInt(self.sim_threads)),
             ("wall_seconds".into(), Json::Float(self.wall_seconds)),
             (
                 "workload_cache_hits".into(),
@@ -858,9 +850,6 @@ impl BatchProfile {
         Ok(BatchProfile {
             cells: req_u64(v, "cells")?,
             jobs: req_u64(v, "jobs")?,
-            // Tolerant default: profiles written before event-loop
-            // sharding landed carry no field and mean serial cells.
-            sim_threads: opt_u64(v, "sim_threads").unwrap_or(1),
             wall_seconds: req_f64(v, "wall_seconds")?,
             workload_cache_hits: req_u64(v, "workload_cache_hits")?,
             workload_cache_misses: req_u64(v, "workload_cache_misses")?,
@@ -919,80 +908,6 @@ impl PhaseEntry {
             phase: req_str(v, "phase")?,
             nanos: req_u64(v, "nanos")?,
             count: req_u64(v, "count")?,
-        })
-    }
-}
-
-/// Speculation telemetry of the sharded event loop (`--sim-threads`):
-/// how the optimistic rounds spent their work. Thread-count-dependent by
-/// nature, so it lives outside the byte-identity comparison surface.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SpeculationReport {
-    /// Optimistic rounds executed.
-    pub rounds: u64,
-    /// Events speculatively executed.
-    pub speculated: u64,
-    /// Speculated events that survived to commit.
-    pub committed: u64,
-    /// GPU shards rolled back past the cut.
-    pub rewound: u64,
-    /// Serial-burst steps taken when rounds committed nothing.
-    pub serial_burst_steps: u64,
-    /// Speculative advances stopped by the lookahead horizon with input
-    /// remaining.
-    pub horizon_stalls: u64,
-    /// Cycles of runnable work left unexecuted at horizon stops.
-    pub horizon_stall_cycles: u64,
-    /// Fraction of speculated events thrown away (`1 - committed /
-    /// speculated`).
-    pub rollback_rate: f64,
-    /// Max-over-mean of per-GPU committed work (1.0 = perfectly even).
-    pub load_imbalance: f64,
-    /// Committed events per GPU.
-    pub per_gpu_committed: Vec<u64>,
-}
-
-impl SpeculationReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("rounds".into(), Json::UInt(self.rounds)),
-            ("speculated".into(), Json::UInt(self.speculated)),
-            ("committed".into(), Json::UInt(self.committed)),
-            ("rewound".into(), Json::UInt(self.rewound)),
-            (
-                "serial_burst_steps".into(),
-                Json::UInt(self.serial_burst_steps),
-            ),
-            ("horizon_stalls".into(), Json::UInt(self.horizon_stalls)),
-            (
-                "horizon_stall_cycles".into(),
-                Json::UInt(self.horizon_stall_cycles),
-            ),
-            ("rollback_rate".into(), Json::Float(self.rollback_rate)),
-            ("load_imbalance".into(), Json::Float(self.load_imbalance)),
-            (
-                "per_gpu_committed".into(),
-                Json::Arr(self.per_gpu_committed.iter().map(|&v| Json::UInt(v)).collect()),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let per_gpu: Result<Vec<u64>, String> = req_arr(v, "per_gpu_committed")?
-            .iter()
-            .map(|x| x.as_u64().ok_or_else(|| "per_gpu_committed has a non-integer".to_string()))
-            .collect();
-        Ok(SpeculationReport {
-            rounds: req_u64(v, "rounds")?,
-            speculated: req_u64(v, "speculated")?,
-            committed: req_u64(v, "committed")?,
-            rewound: req_u64(v, "rewound")?,
-            serial_burst_steps: req_u64(v, "serial_burst_steps")?,
-            horizon_stalls: req_u64(v, "horizon_stalls")?,
-            horizon_stall_cycles: req_u64(v, "horizon_stall_cycles")?,
-            rollback_rate: req_f64(v, "rollback_rate")?,
-            load_imbalance: req_f64(v, "load_imbalance")?,
-            per_gpu_committed: per_gpu?,
         })
     }
 }
@@ -1085,8 +1000,7 @@ impl HistReport {
 
 /// Deterministic cycle-domain profile sections, accumulated over every
 /// successful cell's `prof_*` aux series. Everything here is measured in
-/// simulated cycles, so the object is byte-identical at any `--jobs` /
-/// `--sim-threads` combination.
+/// simulated cycles, so the object is byte-identical at any `--jobs`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CycleProfile {
     /// Per-fault queue wait behind the serial fault handler.
@@ -1137,15 +1051,14 @@ impl CycleProfile {
 }
 
 /// The run's self-profile (grit-run-report/v5), emitted only when
-/// profiling was enabled. `wall` and `speculation` are wall-clock /
-/// thread-count-dependent; `cycle` is the deterministic comparison
-/// surface.
+/// profiling was enabled. `wall` is wall-clock and varies run to run;
+/// `cycle` is the deterministic comparison surface. Documents written
+/// while the engine had a sharded mode may also carry a `speculation`
+/// object, which the parser ignores.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileReport {
     /// Wall-clock phase totals, phases with at least one span.
     pub wall: Vec<PhaseEntry>,
-    /// Sharded-engine telemetry, when any cell ran with `sim_threads > 1`.
-    pub speculation: Option<SpeculationReport>,
     /// Deterministic cycle-domain sections.
     pub cycle: CycleProfile,
 }
@@ -1157,13 +1070,6 @@ impl ProfileReport {
             (
                 "wall".into(),
                 Json::Arr(self.wall.iter().map(PhaseEntry::to_json).collect()),
-            ),
-            (
-                "speculation".into(),
-                match &self.speculation {
-                    Some(s) => s.to_json(),
-                    None => Json::Null,
-                },
             ),
             ("cycle".into(), self.cycle.to_json()),
         ])
@@ -1177,13 +1083,8 @@ impl ProfileReport {
     pub fn from_json(v: &Json) -> Result<Self, String> {
         let wall: Result<Vec<PhaseEntry>, String> =
             req_arr(v, "wall")?.iter().map(PhaseEntry::from_json).collect();
-        let speculation = match req(v, "speculation")? {
-            Json::Null => None,
-            s => Some(SpeculationReport::from_json(s)?),
-        };
         Ok(ProfileReport {
             wall: wall?,
-            speculation,
             cycle: CycleProfile::from_json(req(v, "cycle")?)?,
         })
     }
@@ -1252,8 +1153,6 @@ pub struct RunReport {
     pub seed: u64,
     /// Worker threads (`--jobs`).
     pub jobs: u64,
-    /// Event-loop threads sharding each cell (`--sim-threads`).
-    pub sim_threads: u64,
     /// Total wall-clock seconds across all targets.
     pub total_seconds: f64,
     /// Simulated-system configuration as `(name, value)` pairs.
@@ -1279,7 +1178,6 @@ impl RunReport {
             ("intensity".into(), Json::Float(self.intensity)),
             ("seed".into(), Json::UInt(self.seed)),
             ("jobs".into(), Json::UInt(self.jobs)),
-            ("sim_threads".into(), Json::UInt(self.sim_threads)),
             ("total_seconds".into(), Json::Float(self.total_seconds)),
             (
                 "system".into(),
@@ -1348,9 +1246,6 @@ impl RunReport {
             intensity: req_f64(v, "intensity")?,
             seed: req_u64(v, "seed")?,
             jobs: req_u64(v, "jobs")?,
-            // Tolerant default: reports written before event-loop
-            // sharding landed mean serial cells.
-            sim_threads: opt_u64(v, "sim_threads").unwrap_or(1),
             total_seconds: req_f64(v, "total_seconds")?,
             system,
             targets: targets?,
@@ -1413,8 +1308,6 @@ pub struct BenchSummary {
     pub seed: u64,
     /// Worker threads (`--jobs`).
     pub jobs: u64,
-    /// Event-loop threads sharding each cell (`--sim-threads`).
-    pub sim_threads: u64,
     /// Total wall-clock seconds across all targets.
     pub total_seconds: f64,
     /// Cells executed across all targets.
@@ -1438,7 +1331,6 @@ impl BenchSummary {
             ("intensity".into(), Json::Float(self.intensity)),
             ("seed".into(), Json::UInt(self.seed)),
             ("jobs".into(), Json::UInt(self.jobs)),
-            ("sim_threads".into(), Json::UInt(self.sim_threads)),
             ("total_seconds".into(), Json::Float(self.total_seconds)),
             ("cells_run".into(), Json::UInt(self.cells_run)),
             ("fault_totals".into(), faults_to_json(&self.fault_totals)),
@@ -1488,9 +1380,6 @@ impl BenchSummary {
             intensity: req_f64(v, "intensity")?,
             seed: req_u64(v, "seed")?,
             jobs: req_u64(v, "jobs")?,
-            // Tolerant default: baselines written before event-loop
-            // sharding landed mean serial cells.
-            sim_threads: opt_u64(v, "sim_threads").unwrap_or(1),
             total_seconds: req_f64(v, "total_seconds")?,
             cells_run: req_u64(v, "cells_run")?,
             fault_totals: faults_from_json(req(v, "fault_totals")?)?,
@@ -1611,7 +1500,6 @@ mod tests {
             intensity: 1.5,
             seed: 0xBEEF,
             jobs: 4,
-            sim_threads: 2,
             total_seconds: 12.5,
             system: vec![("num_gpus".into(), 4.0), ("page_size".into(), 4096.0)],
             targets: vec![
@@ -1627,7 +1515,6 @@ mod tests {
             batches: vec![BatchProfile {
                 cells: 12,
                 jobs: 4,
-                sim_threads: 2,
                 wall_seconds: 5.25,
                 workload_cache_hits: 9,
                 workload_cache_misses: 3,
@@ -1648,7 +1535,6 @@ mod tests {
             intensity: 1.0,
             seed: 1,
             jobs: 2,
-            sim_threads: 4,
             total_seconds: 3.5,
             cells_run: 24,
             fault_totals: FaultCounters {
@@ -1679,24 +1565,38 @@ mod tests {
     }
 
     #[test]
-    fn pre_sharding_documents_parse_as_serial() {
-        // Documents written before `sim_threads` existed carry no such
-        // field; every codec must default it to 1 (serial cells).
-        let bench = BenchSummary::default();
-        let text = bench.to_json().to_string().replace(",\"sim_threads\":0", "");
-        assert!(!text.contains("sim_threads"));
-        let back = BenchSummary::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.sim_threads, 1);
+    fn documents_from_the_sharded_engine_still_parse() {
+        // The committed baseline that `repro bench-diff` gates against
+        // still carries the retired `sim_threads` field.
+        let baseline = include_str!("../../../BENCH_baseline.json");
+        assert!(baseline.contains("\"sim_threads\":1"));
+        let bench = BenchSummary::from_json(&Json::parse(baseline).unwrap()).unwrap();
+        assert_eq!((bench.jobs, bench.cells_run), (1, 40));
+        assert_eq!(bench.targets[0].name, "fig17");
 
-        let report = RunReport {
-            batches: vec![BatchProfile::default()],
-            ..RunReport::default()
-        };
-        let text = report.to_json().to_string().replace(",\"sim_threads\":0", "");
-        assert!(!text.contains("sim_threads"));
-        let back = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.sim_threads, 1);
-        assert_eq!(back.batches[0].sim_threads, 1);
+        // A v8 report written with `--sim-threads 2 --profile`:
+        // `sim_threads` at the top level and per batch, and a profile
+        // object with a `speculation` section.
+        let v8 = r#"{"schema":"grit-run-report/v8","scale":0.04,"intensity":1.5,"seed":1,
+            "jobs":1,"sim_threads":2,"total_seconds":1.0,"system":{},"targets":[],
+            "batches":[{"cells":1,"jobs":1,"sim_threads":2,"wall_seconds":1.0,
+                "workload_cache_hits":0,"workload_cache_misses":1}],
+            "cells":[],
+            "profile":{"wall":[{"phase":"spec_execute","nanos":5,"count":1}],
+                "speculation":{"rounds":10,"speculated":1000,"committed":900,"rewound":3,
+                    "serial_burst_steps":512,"horizon_stalls":4,"horizon_stall_cycles":888,
+                    "rollback_rate":0.1,"load_imbalance":1.2,"per_gpu_committed":[500,400]},
+                "cycle":CYCLE}}"#
+            .replace("CYCLE", &CycleProfile::default().to_json().to_string());
+        let back = RunReport::from_json(&Json::parse(&v8).unwrap()).unwrap();
+        assert_eq!(back.jobs, 1);
+        assert_eq!(back.batches[0].cells, 1);
+        let profile = back.profile.as_ref().expect("profile parsed");
+        assert_eq!(profile.wall[0].phase, "spec_execute");
+        assert_eq!(profile.cycle, CycleProfile::default());
+        // Re-serializing drops the retired fields.
+        let text = back.to_json().to_string();
+        assert!(!text.contains("sim_threads") && !text.contains("speculation"));
     }
 
     #[test]
@@ -1879,18 +1779,6 @@ mod tests {
                 nanos: 123_456,
                 count: 42,
             }],
-            speculation: Some(SpeculationReport {
-                rounds: 10,
-                speculated: 1000,
-                committed: 900,
-                rewound: 3,
-                serial_burst_steps: 512,
-                horizon_stalls: 4,
-                horizon_stall_cycles: 888,
-                rollback_rate: 0.1,
-                load_imbalance: 1.2,
-                per_gpu_committed: vec![500, 400],
-            }),
             cycle,
         }
     }

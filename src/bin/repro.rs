@@ -41,7 +41,7 @@
 //! Profiling flags and tooling:
 //!
 //! ```text
-//! repro fig17 --profile                  # phase timers + speculation telemetry
+//! repro fig17 --profile                  # wall-clock phase timers
 //! repro fig17 --profile-out prof.json    # Chrome trace-event / Perfetto JSON
 //! repro all --progress                   # 1 Hz heartbeat (cells done, ETA, phase)
 //! repro profile out/run_report.json      # render a report's profile section
@@ -307,7 +307,7 @@ fn load_json(path: &str) -> Option<Json> {
 }
 
 /// `repro profile <run_report.json>`: renders the report's `profile`
-/// object — phase table, speculation telemetry, cycle-domain histograms.
+/// object — phase table and cycle-domain histograms.
 fn cmd_profile(path: &str) -> bool {
     let Some(json) = load_json(path) else {
         return false;
@@ -325,28 +325,6 @@ fn cmd_profile(path: &str) -> bool {
     };
     println!("== wall-clock phases ==");
     print!("{}", render_phase_table(&profile.wall));
-    if let Some(s) = &profile.speculation {
-        println!("\n== speculation (--sim-threads) ==");
-        println!("  rounds                 {}", s.rounds);
-        println!(
-            "  speculated / committed {} / {} (rollback rate {:.1}%)",
-            s.speculated,
-            s.committed,
-            100.0 * s.rollback_rate
-        );
-        println!("  shards rewound         {}", s.rewound);
-        println!("  serial-burst steps     {}", s.serial_burst_steps);
-        println!(
-            "  horizon stalls         {} ({} cycles)",
-            s.horizon_stalls, s.horizon_stall_cycles
-        );
-        println!(
-            "  load imbalance         {:.3} (max/mean committed)",
-            s.load_imbalance
-        );
-        let per_gpu: Vec<String> = s.per_gpu_committed.iter().map(u64::to_string).collect();
-        println!("  committed per GPU      [{}]", per_gpu.join(" "));
-    }
     println!("\n== cycle-domain (deterministic) ==");
     println!(
         "{}",
@@ -392,10 +370,10 @@ fn cmd_bench_diff(a_path: &str, b_path: &str, threshold: f64) -> bool {
             a.scale, b.scale, a.intensity, b.intensity, a.seed, b.seed
         );
     }
-    if a.jobs != b.jobs || a.sim_threads != b.sim_threads {
+    if a.jobs != b.jobs {
         println!(
-            "  note: jobs {}x{} vs {}x{} (threading differs; wall-clock shifts expected)",
-            a.jobs, a.sim_threads, b.jobs, b.sim_threads
+            "  note: jobs {} vs {} (threading differs; wall-clock shifts expected)",
+            a.jobs, b.jobs
         );
     }
     println!(
@@ -480,7 +458,7 @@ fn cmd_bench_diff(a_path: &str, b_path: &str, threshold: f64) -> bool {
 
 fn print_usage() {
     eprintln!(
-        "usage: repro <figN|all|tables|list> [--quick|--full] [--jobs N] [--sim-threads N] [--scale X] [--intensity X] [--seed N] [--csv DIR] [--trace PATH] [--metrics-out DIR] [--emit-bench-json] [--bench-baseline] [--cell-timeout SECS] [--resume|--resume-dir DIR] [--fail-fast|--keep-going]"
+        "usage: repro <figN|all|tables|list> [--quick|--full] [--jobs N] [--scale X] [--intensity X] [--seed N] [--csv DIR] [--trace PATH] [--metrics-out DIR] [--emit-bench-json] [--bench-baseline] [--cell-timeout SECS] [--resume|--resume-dir DIR] [--fail-fast|--keep-going]"
     );
     eprintln!("figures:");
     for (name, desc) in FIGURES {
@@ -504,9 +482,6 @@ fn print_usage() {
         "  --jobs N  worker threads for experiment cells (also GRIT_JOBS; default: all cores)"
     );
     eprintln!(
-        "  --sim-threads N     event-loop threads sharding each cell (also GRIT_SIM_THREADS; default: 1; output is byte-identical at any value; jobs x sim-threads is clamped to the core count)"
-    );
-    eprintln!(
         "  --topology T        interconnect for every cell: all-to-all (default), nvswitch[:RADIX], ring, mesh2d, hierarchical"
     );
     eprintln!("  --page-size N       base page size in bytes for every cell (default 4096)");
@@ -527,7 +502,7 @@ fn print_usage() {
     );
     eprintln!("  --force             allow overwriting an existing run_report.json");
     eprintln!(
-        "  --profile           wall-clock phase timers + speculation telemetry (profile object in run_report.json; zero overhead when off)"
+        "  --profile           wall-clock phase timers (profile object in run_report.json; zero overhead when off)"
     );
     eprintln!(
         "  --profile-out PATH  write a Chrome trace-event / Perfetto JSON span trace (implies --profile)"
@@ -1196,15 +1171,6 @@ fn main() -> ExitCode {
                 };
                 ex::set_jobs(v);
             }
-            "--sim-threads" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<usize>().ok()).filter(|&n| n > 0)
-                else {
-                    eprintln!("--sim-threads needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                ospec = ospec.sim_threads(v);
-            }
             "--csv" => {
                 i += 1;
                 let Some(dir) = args.get(i) else {
@@ -1565,12 +1531,11 @@ fn main() -> ExitCode {
     }
 
     eprintln!(
-        "[repro] scale={} intensity={} seed={:#x} jobs={} sim-threads={}",
+        "[repro] scale={} intensity={} seed={:#x} jobs={}",
         exp.scale,
         exp.intensity,
         exp.seed,
-        ex::effective_jobs(),
-        ex::effective_sim_threads()
+        ex::effective_jobs()
     );
     let mut cache = TableCache::default();
     let t0 = Instant::now();

@@ -66,13 +66,13 @@ fn aux_mean(r: &Result<RunOutput, CellError>, name: &str) -> f64 {
     })
 }
 
-/// One slot of the `pagesize_counters` aux series, summed over GPUs
-/// (the driver emits one engine-wide series; sharded runs may append
-/// per-shard copies, which summing also handles).
+/// One slot of the engine-wide `pagesize_counters` aux series; zero
+/// when the cell failed or never emitted it.
 fn counter_slot(r: &Result<RunOutput, CellError>, slot: usize) -> f64 {
     r.output()
         .and_then(|o| o.metrics.aux.get("pagesize_counters"))
-        .map_or(0.0, |v| v.iter().skip(slot).step_by(9).sum())
+        .and_then(|v| v.get(slot).copied())
+        .unwrap_or(0.0)
 }
 
 /// Runs the sweep over an explicit app set (tests shrink it; [`run`]

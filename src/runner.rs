@@ -6,33 +6,25 @@
 //! migrations, invalidation broadcasts, write collapses, counter trips —
 //! are globally ordered in simulated time.
 //!
-//! With [`SimulationBuilder::sim_threads`] above one, the loop is *time
-//! sharded*: workers speculatively advance disjoint GPUs through their
-//! purely GPU-local accesses up to a conservative horizon, then a round
-//! barrier commits the speculation in the exact serial event order and
-//! executes the first blocked driver interaction through the unchanged
-//! serial path. Output is byte-identical to the serial engine at any
-//! thread count; see `DESIGN.md` §14 for the protocol and its safety
-//! argument.
+//! One cell runs on one thread; campaigns get their parallelism by
+//! running independent cells side by side (`--jobs`). `DESIGN.md` §14
+//! records why.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
 use grit_mem::{CacheKey, Mapping, SetAssocCache, TlbHierarchy, TranslationLevel, WalkerPool};
 use grit_metrics::{
     AttrGrid, IntervalSeries, LatencyClass, LatencyHistogram, PageAttrSummary, PageAttrTracker,
     RunMetrics, SchemeMix,
 };
-use grit_prof::{span, Phase, SpecStats};
+use grit_prof::{span, Phase};
 use grit_sim::{
-    Access, AccessKind, AccessStream, CancelState, CancelToken, CellError, ConfigError, Cycle,
-    GpuId, GritError, InjectConfig, LatencyConfig, MemLoc, MlpWindow, PageId, SimConfig,
-    SliceStream, TopologyConfig,
+    Access, AccessStream, CancelState, CancelToken, CellError, ConfigError, Cycle, GpuId,
+    GritError, InjectConfig, MemLoc, MlpWindow, PageId, SimConfig, SliceStream, TopologyConfig,
 };
 use grit_trace::{CellTiming, TraceEvent, Tracer};
 use grit_uvm::{
-    DriverOutcome, DriverView, FaultInfo, FaultKind, PlacementPolicy, Prefetcher, UvmDriver,
-    WriteMode,
+    DriverOutcome, FaultInfo, FaultKind, PlacementPolicy, Prefetcher, UvmDriver, WriteMode,
 };
 use grit_workloads::MultiGpuWorkload;
 
@@ -133,458 +125,6 @@ impl GpuFrontend {
     }
 }
 
-/// Inverse record of one speculatively executed access: everything needed
-/// to restore the frontend to its state just before the access ran.
-///
-/// Rollback via these records costs time proportional to the *work undone*
-/// (the handful of accesses past the cut), where a snapshot/restore scheme
-/// costs time proportional to the *state size* (hundreds of kilobytes of
-/// cache arrays per GPU per round). The serial engine never records
-/// anything. `barriers`, `next_barrier`, `waiting`, and `line_generation`
-/// need no records — only serial paths (barrier release, invalidation
-/// broadcasts) touch them, and those never run speculatively.
-struct EntryUndo {
-    prev_last_done: Cycle,
-    issue: grit_sim::MlpIssueUndo,
-    /// The completion time pushed by `window.complete`.
-    pushed: Cycle,
-    tlb: grit_mem::TlbTranslateUndo,
-    tlb_fill: Option<grit_mem::TlbFillUndo>,
-    /// The translate/fill above went through the 2 MB hierarchy (the
-    /// access hit a coalesced frame owned by this GPU), so the undos
-    /// must be routed back to it.
-    tlb_large: bool,
-    walk: Option<grit_mem::WalkUndo>,
-    l1_get: grit_mem::CacheUndo<LineKey, ()>,
-    l2_get: Option<grit_mem::CacheUndo<LineKey, ()>>,
-    l2_ins: Option<grit_mem::CacheUndo<LineKey, ()>>,
-    l1_ins: Option<grit_mem::CacheUndo<LineKey, ()>>,
-}
-
-/// Inverse record of a speculative stream-finish (window drain).
-struct FinishUndo {
-    prev_last_done: Cycle,
-    prev_last_drain: Cycle,
-    /// Completion times the drain popped, appended to the slot arena.
-    drained: u32,
-}
-
-/// One speculatively executed access, logged so its *global* side effects
-/// (shared counters, attribute tracker, observers, policy feed, memory
-/// occupancy) can be committed at the round barrier in the exact order the
-/// serial engine interleaves them.
-struct PureEntry {
-    /// Heap pop key cycle at which the serial engine replays this access.
-    ready: Cycle,
-    /// Issue cycle, after think time and MLP-window admission.
-    t0: Cycle,
-    vpn: PageId,
-    kind: AccessKind,
-    /// Missed the L2 TLB and walked the page table.
-    walked: bool,
-    /// Walk latency, charged to the Local latency class at commit.
-    walk_cycles: Cycle,
-    /// Missed both data caches and fetched the line from local DRAM.
-    local_miss: bool,
-}
-
-/// Why a speculative advance stopped.
-struct PureStop {
-    /// Pop-key cycle of a blocked serial event (fault, collapse, remote
-    /// fetch, kernel barrier, due epoch/injection); `None` when the GPU ran
-    /// into the horizon or finished its stream.
-    serial_at: Option<Cycle>,
-    /// Pop-key cycle at which the stream ran dry (the finish executed
-    /// speculatively and may need rolling back).
-    finished_at: Option<Cycle>,
-}
-
-/// One GPU's result of a speculative round. The slot's buffers are
-/// persistent across rounds (cleared, never reallocated).
-#[derive(Default)]
-struct RoundSlot {
-    log: Vec<PureEntry>,
-    /// One inverse record per log entry, same order.
-    undo: Vec<EntryUndo>,
-    /// Retired completion times (MLP window + walker queue), appended in
-    /// execution order and consumed as a stack during rollback.
-    arena: Vec<Cycle>,
-    finish_undo: Option<FinishUndo>,
-    serial_at: Option<Cycle>,
-    finished_at: Option<Cycle>,
-}
-
-/// Speculatively advances one frontend to `bound`, filling `slot`;
-/// finished or barrier-parked GPUs leave the slot idle.
-fn advance_frontend(
-    g: usize,
-    f: &mut GpuFrontend,
-    view: &DriverView<'_>,
-    lat: &LatencyConfig,
-    bound: (Cycle, usize),
-    slot: &mut RoundSlot,
-) {
-    slot.log.clear();
-    slot.undo.clear();
-    slot.arena.clear();
-    slot.finish_undo = None;
-    slot.serial_at = None;
-    slot.finished_at = None;
-    if f.finished || f.waiting {
-        return;
-    }
-    let stop = advance_pure(g, f, view, lat, bound, slot);
-    slot.serial_at = stop.serial_at;
-    slot.finished_at = stop.finished_at;
-}
-
-/// Speculatively advances one GPU through purely GPU-local accesses.
-///
-/// Every event whose serial pop key `(ready, g)` is below `bound` and whose
-/// handling touches nothing but this frontend (TLB, walker, caches, MLP
-/// window) executes exactly as [`Simulation::process`] would, with its
-/// global side effects logged for ordered commit. The advance stops —
-/// *before* mutating anything — at the first event that needs the driver:
-/// an unmapped page (fault), a write to a replica (collapse/broadcast), a
-/// data miss on a remote mapping, a kernel barrier, or due driver-side work
-/// (policy epoch or injected fault transition).
-///
-/// Classification happens against `view`, the driver state frozen at the
-/// round start; the commit bound guarantees no serial event ordered before
-/// a speculated access could have changed that state.
-fn advance_pure(
-    g: usize,
-    f: &mut GpuFrontend,
-    view: &DriverView<'_>,
-    lat: &LatencyConfig,
-    bound: (Cycle, usize),
-    slot: &mut RoundSlot,
-) -> PureStop {
-    let gpu = GpuId::new(g as u8);
-    loop {
-        let r = f.ready;
-        if (r, g) >= bound {
-            return PureStop {
-                serial_at: None,
-                finished_at: None,
-            };
-        }
-        if view.work_due(r) {
-            // The serial loop would run the epoch/injection inside
-            // `maybe_run_epoch` on this pop.
-            return PureStop {
-                serial_at: Some(r),
-                finished_at: None,
-            };
-        }
-        if f.at_barrier() {
-            return PureStop {
-                serial_at: Some(r),
-                finished_at: None,
-            };
-        }
-        let Some(acc) = f.stream.peek() else {
-            // Finishing touches only this frontend; it is pure (but
-            // recorded, in case the finish lands past the commit cut).
-            let prev_last_done = f.last_done;
-            let prev_last_drain = f.window.last_drain_mark();
-            let start = slot.arena.len();
-            let drained = f.window.drain_time_recorded(&mut slot.arena);
-            f.last_done = f.last_done.max(drained);
-            f.finished = true;
-            slot.finish_undo = Some(FinishUndo {
-                prev_last_done,
-                prev_last_drain,
-                drained: (slot.arena.len() - start) as u32,
-            });
-            return PureStop {
-                serial_at: None,
-                finished_at: Some(r),
-            };
-        };
-        // Classify before mutating anything, so a serial stop leaves the
-        // frontend exactly at its pre-event state.
-        let vpn = acc.vpn;
-        let Some(mapping) = view.translate(gpu, vpn) else {
-            return PureStop {
-                serial_at: Some(r),
-                finished_at: None,
-            };
-        };
-        if acc.is_write() && mapping == Mapping::Replica {
-            return PureStop {
-                serial_at: Some(r),
-                finished_at: None,
-            };
-        }
-        let key = f.line_key(vpn, acc.line);
-        let cached = f.l1.peek(&key).is_some() || f.l2.peek(&key).is_some();
-        if !cached && matches!(mapping, Mapping::Remote(_) | Mapping::RemoteHost) {
-            return PureStop {
-                serial_at: Some(r),
-                finished_at: None,
-            };
-        }
-        // Pure: execute against GPU-local state, mirroring the serial
-        // `process` path cycle for cycle, recording inverse operations.
-        let prev_last_done = f.last_done;
-        f.stream.next_access();
-        f.consumed += 1;
-        let issue_base = r + acc.think as Cycle;
-        let (t0, issue_undo) = f.window.issue_at_recorded(issue_base, &mut slot.arena);
-        f.ready = t0;
-        // An access to a coalesced frame owned by this GPU translates
-        // through the 2 MB hierarchy under the frame-base key; everything
-        // else through the base-page TLBs. The frozen `DriverView` keeps
-        // the routing stable for the whole round.
-        let large_key = f.tlb_2m.as_ref().and_then(|_| view.large_translation(gpu, vpn));
-        let ((level, tlb_lat), tlb_undo) = match (large_key, f.tlb_2m.as_mut()) {
-            (Some(base), Some(t2)) => t2.translate_recorded(base),
-            _ => f.tlb.translate_recorded(vpn),
-        };
-        let mut t = t0 + tlb_lat;
-        let mut walked = false;
-        let mut walk_cycles = 0;
-        let mut tlb_fill = None;
-        let mut walk_undo = None;
-        if level == TranslationLevel::Walk {
-            let (walk, wu) = f.walker.walk_recorded(t, vpn, &mut slot.arena);
-            walked = true;
-            walk_cycles = walk.done_at - t;
-            t = walk.done_at;
-            walk_undo = Some(wu);
-            tlb_fill = Some(match (large_key, f.tlb_2m.as_mut()) {
-                (Some(base), Some(t2)) => t2.fill_recorded(base),
-                _ => f.tlb.fill_recorded(vpn),
-            });
-        }
-        let mut local_miss = false;
-        let (l1_hit, l1_get) = f.l1.get_recorded(&key);
-        let (mut l2_get, mut l2_ins, mut l1_ins) = (None, None, None);
-        if l1_hit {
-            t += lat.l1_data_hit;
-        } else {
-            let (l2_hit, lg) = f.l2.get_recorded(&key);
-            l2_get = Some(lg);
-            if l2_hit {
-                t += lat.l2_data_hit;
-                l1_ins = Some(f.l1.insert_recorded(key, ()));
-            } else {
-                // Same timing as `UvmDriver::local_line_access`; the LRU
-                // touch and dirty mark are deferred to the ordered commit.
-                t += lat.local_dram;
-                local_miss = true;
-                l2_ins = Some(f.l2.insert_recorded(key, ()));
-                l1_ins = Some(f.l1.insert_recorded(key, ()));
-            }
-        }
-        f.window.complete(t);
-        f.last_done = f.last_done.max(t);
-        slot.log.push(PureEntry {
-            ready: r,
-            t0,
-            vpn,
-            kind: acc.kind,
-            walked,
-            walk_cycles,
-            local_miss,
-        });
-        slot.undo.push(EntryUndo {
-            prev_last_done,
-            issue: issue_undo,
-            pushed: t,
-            tlb: tlb_undo,
-            tlb_fill,
-            tlb_large: large_key.is_some(),
-            walk: walk_undo,
-            l1_get,
-            l2_get,
-            l2_ins,
-            l1_ins,
-        });
-    }
-}
-
-/// Rolls one frontend back to the commit cut by reversing its speculative
-/// log from the end: every entry (and any speculative finish) whose serial
-/// pop key is at or past `cut` is undone, leaving the frontend exactly as
-/// if it had advanced only through the surviving prefix.
-fn rollback_to_cut(g: usize, f: &mut GpuFrontend, slot: &mut RoundSlot, cut: (Cycle, usize)) {
-    if slot.finished_at.is_some_and(|c| (c, g) >= cut) {
-        slot.finished_at = None;
-        let fu = slot.finish_undo.take().expect("speculative finish has an undo record");
-        let start = slot.arena.len() - fu.drained as usize;
-        f.window.undo_drain(fu.prev_last_drain, &slot.arena[start..]);
-        slot.arena.truncate(start);
-        f.last_done = fu.prev_last_done;
-        f.finished = false;
-    }
-    // Log keys are non-decreasing, so the overrun is a suffix.
-    let keep = slot.log.partition_point(|e| (e.ready, g) < cut);
-    let discard = slot.log.len() - keep;
-    if discard == 0 {
-        return;
-    }
-    for i in (keep..slot.log.len()).rev() {
-        let e = &slot.log[i];
-        let u = slot.undo.pop().expect("one undo record per log entry");
-        // Reverse of the execution order in `advance_pure`.
-        if let Some(ci) = u.l1_ins {
-            f.l1.undo(ci);
-        }
-        if let Some(ci) = u.l2_ins {
-            f.l2.undo(ci);
-        }
-        if let Some(cg) = u.l2_get {
-            f.l2.undo(cg);
-        }
-        f.l1.undo(u.l1_get);
-        if let Some(tf) = u.tlb_fill {
-            match (u.tlb_large, f.tlb_2m.as_mut()) {
-                (true, Some(t2)) => t2.undo_fill(tf),
-                _ => f.tlb.undo_fill(tf),
-            }
-        }
-        if let Some(w) = u.walk {
-            let start = slot.arena.len() - w.retired as usize;
-            f.walker.undo_walk(w, &slot.arena[start..]);
-            slot.arena.truncate(start);
-        }
-        match (u.tlb_large, f.tlb_2m.as_mut()) {
-            (true, Some(t2)) => t2.undo_translate(u.tlb),
-            _ => f.tlb.undo_translate(u.tlb),
-        }
-        f.window.uncomplete(u.pushed);
-        let start = slot.arena.len() - u.issue.retired as usize;
-        f.window.undo_issue(u.issue, &slot.arena[start..]);
-        slot.arena.truncate(start);
-        f.ready = e.ready;
-        f.last_done = u.prev_last_done;
-    }
-    f.stream.rewind(discard);
-    f.consumed -= discard;
-    slot.log.truncate(keep);
-}
-
-/// Shared coordination state for the persistent speculation worker pool.
-///
-/// One pool lives for the whole sharded run; each round the conductor
-/// publishes the round's inputs through the pointer fields and bumps `seq`,
-/// and each worker advances its fixed GPU chunk and reports back through
-/// its `done` flag. This replaces a per-round `thread::scope` spawn, whose
-/// OS-thread creation cost dominated short rounds.
-struct ShardSync {
-    /// Round sequence number. The conductor publishes the pointer fields
-    /// below, then bumps this with `Release`; workers `Acquire`-load it, so
-    /// observing a new round implies seeing that round's pointers.
-    seq: AtomicU64,
-    /// Horizon (exclusive pop-key cycle bound) of the current round.
-    bound: AtomicU64,
-    /// Base of the `GpuFrontend` array for the current round.
-    gpus: AtomicPtr<GpuFrontend>,
-    /// Base of the `RoundSlot` array for the current round.
-    slots: AtomicPtr<RoundSlot>,
-    /// The round's frozen `DriverView`, lifetime-erased. Valid only for the
-    /// duration of the round that published it.
-    view: AtomicPtr<()>,
-    /// Per-worker completion flags, set to the round's `seq` with `Release`
-    /// once the worker's chunk is done; the conductor `Acquire`-loads them,
-    /// which is what lets it safely re-borrow the frontends.
-    done: Vec<AtomicU64>,
-    /// Tells workers to exit at the next `seq` bump.
-    shutdown: AtomicBool,
-    /// Set by a worker's drop guard if its round body panics, so the
-    /// conductor does not wait forever on a `done` flag that never comes.
-    poisoned: AtomicBool,
-}
-
-impl ShardSync {
-    fn new(workers: usize) -> Self {
-        ShardSync {
-            seq: AtomicU64::new(0),
-            bound: AtomicU64::new(0),
-            gpus: AtomicPtr::new(std::ptr::null_mut()),
-            slots: AtomicPtr::new(std::ptr::null_mut()),
-            view: AtomicPtr::new(std::ptr::null_mut()),
-            done: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            shutdown: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
-        }
-    }
-}
-
-/// Body of one pool worker: waits for a round, advances the GPUs in
-/// `range`, reports completion, repeats until shutdown.
-///
-/// A panic in the round body is caught so the `done` flag is still set —
-/// the conductor must never block on a flag that will not come, and no
-/// worker may hold the round's raw pointers once its flag is up. The
-/// conductor re-raises the panic after the round barrier.
-fn shard_worker(sync: &ShardSync, w: usize, range: std::ops::Range<usize>, lat: LatencyConfig) {
-    // Statically require what the raw-pointer sharing below relies on: the
-    // per-GPU state crosses threads and the frozen view is shared.
-    fn _bounds_hold()
-    where
-        GpuFrontend: Send,
-        RoundSlot: Send,
-        for<'a> DriverView<'a>: Sync,
-    {
-    }
-    let done = &sync.done[w - 1];
-    let mut last = 0u64;
-    loop {
-        // Wait for the next round: spin briefly (rounds are often back to
-        // back), then yield, then park. A spurious unpark only re-loops.
-        let mut spins = 0u32;
-        let seq = loop {
-            let s = sync.seq.load(Ordering::Acquire);
-            if s != last {
-                break s;
-            }
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else if spins < 1 << 14 {
-                std::thread::yield_now();
-            } else {
-                std::thread::park();
-            }
-        };
-        last = seq;
-        if sync.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let round = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let bound = sync.bound.load(Ordering::Relaxed);
-            let gpus = sync.gpus.load(Ordering::Relaxed);
-            let slots = sync.slots.load(Ordering::Relaxed);
-            // SAFETY: the conductor publishes these pointers before the
-            // `Release` bump of `seq` that started this round, and keeps
-            // the view and both arrays alive (and un-borrowed) until every
-            // `done` flag reports the round complete. The view is only
-            // read, and `DriverView` is `Sync`.
-            let view = unsafe { &*(sync.view.load(Ordering::Relaxed) as *const DriverView<'_>) };
-            let _prof = span(Phase::SpecExecute);
-            for g in range.clone() {
-                // SAFETY: worker `w` is the only thread that touches
-                // indices in `range` during a round — chunks are disjoint
-                // by construction and the conductor only re-borrows the
-                // arrays after the `Acquire` handshake on `done` — so these
-                // are unique references for the duration of the loop body.
-                let f = unsafe { &mut *gpus.add(g) };
-                let slot = unsafe { &mut *slots.add(g) };
-                advance_frontend(g, f, view, &lat, (bound, 0), slot);
-            }
-        }));
-        if round.is_err() {
-            sync.poisoned.store(true, Ordering::Release);
-            done.store(seq, Ordering::Release);
-            return;
-        }
-        done.store(seq, Ordering::Release);
-    }
-}
-
 /// Optional per-figure instrumentation attached to a run.
 #[derive(Clone, Debug, Default)]
 pub struct ObserverConfig {
@@ -680,16 +220,6 @@ pub struct Simulation {
     obs_grid_rw: Option<AttrGrid>,
     obs_scheme_timeline: Option<IntervalSeries>,
     cancel: CancelToken,
-    /// Worker threads sharding this run's event loop (1 = serial engine).
-    sim_threads: usize,
-}
-
-/// Result of one serial event-loop step.
-enum StepOutcome {
-    /// An event was handled (or a barrier released).
-    Progress,
-    /// Every GPU finished its stream.
-    AllFinished,
 }
 
 /// Fluent constructor for [`Simulation`], absorbing the old
@@ -716,7 +246,6 @@ pub struct SimulationBuilder {
     prefetcher: Option<Box<dyn Prefetcher>>,
     tracer: Option<Tracer>,
     cancel: CancelToken,
-    sim_threads: usize,
 }
 
 impl SimulationBuilder {
@@ -734,15 +263,12 @@ impl SimulationBuilder {
             prefetcher: None,
             tracer: None,
             cancel: CancelToken::new(),
-            sim_threads: 1,
         }
     }
 
-    /// Shards the event loop of this one simulation across `n` worker
-    /// threads (default 1 = the serial engine). Output is byte-identical
-    /// at any value; values above the GPU count are clamped.
-    pub fn sim_threads(mut self, n: usize) -> Self {
-        self.sim_threads = n.max(1);
+    /// Accepted for source compatibility and ignored: a simulation always
+    /// runs its event loop on one thread.
+    pub fn sim_threads(self, _n: usize) -> Self {
         self
     }
 
@@ -809,7 +335,6 @@ impl SimulationBuilder {
             sim.driver.set_tracer(t);
         }
         sim.cancel = self.cancel;
-        sim.sim_threads = self.sim_threads;
         Ok(sim)
     }
 }
@@ -863,7 +388,6 @@ impl Simulation {
             obs_grid_rw: None,
             obs_scheme_timeline: None,
             cancel: CancelToken::new(),
-            sim_threads: 1,
             cfg,
         })
     }
@@ -907,18 +431,39 @@ impl Simulation {
     /// is raised, and [`CellError::Invariant`] when post-run VM-state
     /// checks fail.
     pub fn try_run(mut self) -> Result<RunOutput, GritError> {
-        let threads = self.sim_threads.clamp(1, self.gpus.len().max(1));
-        if threads > 1 {
-            return self.try_run_sharded(threads);
-        }
         let cancel_active = self.cancel.is_active();
         loop {
             if cancel_active && self.accesses & 0xFFF == 0 {
                 self.poll_cancel()?;
             }
-            match self.serial_step()? {
-                StepOutcome::Progress => {}
-                StepOutcome::AllFinished => break,
+            // The GPU with the smallest `(ready, index)` key handles its
+            // next event.
+            let Some(g) = self.next_gpu() else {
+                if self.gpus.iter().all(|g| g.finished) {
+                    break;
+                }
+                // Every unfinished GPU sits at the barrier: synchronize
+                // the node at the slowest GPU's drain point.
+                self.release_barrier();
+                continue;
+            };
+            if let Some(out) = self.driver.maybe_run_epoch(self.gpus[g].ready) {
+                self.apply_outcome(g, &out);
+            }
+            if self.gpus[g].at_barrier() {
+                self.gpus[g].waiting = true;
+                continue;
+            }
+            match self.gpus[g].stream.next_access() {
+                Some(acc) => {
+                    self.gpus[g].consumed += 1;
+                    self.process(g, acc)?;
+                }
+                None => {
+                    let drained = self.gpus[g].window.drain_time();
+                    self.gpus[g].last_done = self.gpus[g].last_done.max(drained);
+                    self.gpus[g].finished = true;
+                }
             }
         }
         self.finish()
@@ -938,345 +483,6 @@ impl Simulation {
                 }
                 .into())
             }
-        }
-    }
-
-    /// One iteration of the serial event loop: pick the GPU with the
-    /// smallest `(ready, index)` key and handle its next event.
-    fn serial_step(&mut self) -> Result<StepOutcome, GritError> {
-        let Some(g) = self.next_gpu() else {
-            if self.gpus.iter().all(|g| g.finished) {
-                return Ok(StepOutcome::AllFinished);
-            }
-            // Every unfinished GPU sits at the barrier: synchronize
-            // the node at the slowest GPU's drain point.
-            self.release_barrier();
-            return Ok(StepOutcome::Progress);
-        };
-        if let Some(out) = self.driver.maybe_run_epoch(self.gpus[g].ready) {
-            self.apply_outcome(g, &out);
-        }
-        if self.gpus[g].at_barrier() {
-            self.gpus[g].waiting = true;
-            return Ok(StepOutcome::Progress);
-        }
-        match self.gpus[g].stream.next_access() {
-            Some(acc) => {
-                self.gpus[g].consumed += 1;
-                self.process(g, acc)?;
-            }
-            None => {
-                let drained = self.gpus[g].window.drain_time();
-                self.gpus[g].last_done = self.gpus[g].last_done.max(drained);
-                self.gpus[g].finished = true;
-            }
-        }
-        Ok(StepOutcome::Progress)
-    }
-
-    /// The time-sharded engine: optimistic round-based speculation with
-    /// undo-log rollback and canonical-order commit.
-    ///
-    /// Spawns a persistent worker pool (threads live for the whole run;
-    /// each round is a publish/handshake on [`ShardSync`], not a thread
-    /// spawn), runs the round loop, then shuts the pool down — on success,
-    /// error, and panic alike (workers parked in a dead pool would hang
-    /// the scope's implicit join).
-    fn try_run_sharded(mut self, threads: usize) -> Result<RunOutput, GritError> {
-        let n = self.gpus.len();
-        let chunk = n.div_ceil(threads);
-        let lat = self.cfg.lat;
-        let sync = &ShardSync::new(threads - 1);
-        std::thread::scope(|scope| {
-            let mut workers = Vec::with_capacity(threads - 1);
-            for w in 1..threads {
-                let range = (w * chunk).min(n)..((w + 1) * chunk).min(n);
-                let handle = scope.spawn(move || shard_worker(sync, w, range, lat));
-                workers.push(handle.thread().clone());
-            }
-            /// Shuts the pool down on drop, so a panic unwinding out of
-            /// the round loop still releases parked workers.
-            struct Shutdown<'a> {
-                sync: &'a ShardSync,
-                workers: &'a [std::thread::Thread],
-            }
-            impl Drop for Shutdown<'_> {
-                fn drop(&mut self) {
-                    self.sync.shutdown.store(true, Ordering::Release);
-                    self.sync.seq.fetch_add(1, Ordering::Release);
-                    for t in self.workers {
-                        t.unpark();
-                    }
-                }
-            }
-            let rounds = {
-                let _shutdown = Shutdown {
-                    sync,
-                    workers: &workers,
-                };
-                self.sharded_rounds(sync, &workers, chunk)
-            };
-            rounds?;
-            self.finish()
-        })
-    }
-
-    /// The round loop of the sharded engine.
-    ///
-    /// Each round freezes the driver, speculatively advances every
-    /// runnable GPU in parallel through its purely GPU-local accesses up
-    /// to a horizon (`lookahead_bound × window_scale` past the earliest
-    /// runnable cycle), then:
-    ///
-    /// 1. finds the *cut* — the earliest blocked serial event by
-    ///    `(cycle, gpu)` key;
-    /// 2. rolls any GPU that speculated past the cut back to the cut by
-    ///    reversing its undo log;
-    /// 3. commits every surviving logged access in the exact order the
-    ///    serial engine replays them (sorted by pop key, stable per GPU),
-    ///    applying their global side effects;
-    /// 4. executes the cut event itself through the unchanged serial path.
-    ///
-    /// The committed event sequence is therefore the canonical serial
-    /// prefix regardless of thread count or round structure, which is what
-    /// makes the output byte-identical to the serial engine.
-    fn sharded_rounds(
-        &mut self,
-        sync: &ShardSync,
-        workers: &[std::thread::Thread],
-        chunk: usize,
-    ) -> Result<(), GritError> {
-        /// Upper bound on the adaptive horizon multiplier.
-        const MAX_WINDOW_SCALE: Cycle = 1 << 10;
-        /// Serial steps batched when a round commits nothing (fault- or
-        /// barrier-dominated phases), amortizing the round overhead.
-        const SERIAL_BURST: usize = 256;
-        let cancel_active = self.cancel.is_active();
-        let mut slots: Vec<RoundSlot> =
-            (0..self.gpus.len()).map(|_| RoundSlot::default()).collect();
-        let mut merged: Vec<(usize, PureEntry)> = Vec::new();
-        let lookahead = self.driver.lookahead_bound();
-        let mut window_scale: Cycle = 1;
-        // Always-on speculation telemetry: plain counter bumps per round,
-        // recorded into `grit-prof` at the end if profiling is enabled.
-        let mut spec = SpecStats {
-            per_gpu_committed: vec![0; self.gpus.len()],
-            ..SpecStats::default()
-        };
-        'rounds: loop {
-            if cancel_active {
-                self.poll_cancel()?;
-            }
-            if self.gpus.iter().all(|g| g.finished) {
-                break;
-            }
-            if self.gpus.iter().all(|g| g.finished || g.waiting) {
-                self.release_barrier();
-                continue;
-            }
-            let base = self
-                .gpus
-                .iter()
-                .filter(|g| !g.finished && !g.waiting)
-                .map(|g| g.ready)
-                .min()
-                .expect("a runnable GPU exists");
-            let horizon = base.saturating_add(lookahead.saturating_mul(window_scale));
-            self.speculate_round(sync, workers, chunk, &mut slots, horizon);
-            let speculated: usize = slots.iter().map(|s| s.log.len()).sum();
-            spec.rounds += 1;
-            spec.speculated += speculated as u64;
-            let cut: Option<(Cycle, usize)> = {
-                let _prof = span(Phase::SpecClassify);
-                slots.iter().enumerate().filter_map(|(g, s)| s.serial_at.map(|c| (c, g))).min()
-            };
-            // A runnable shard with no serial stop and no finish ran out of
-            // horizon, not out of pure work: the lookahead bound stalled it.
-            for (g, s) in slots.iter().enumerate() {
-                let f = &self.gpus[g];
-                if s.serial_at.is_none()
-                    && s.finished_at.is_none()
-                    && !f.finished
-                    && !f.waiting
-                    && f.ready >= horizon
-                {
-                    spec.horizon_stalls += 1;
-                    spec.horizon_stall_cycles += f.ready - horizon;
-                }
-            }
-            if let Some(cut_key) = cut {
-                spec.rewound += slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(g, s)| {
-                        s.log.last().is_some_and(|e| (e.ready, *g) >= cut_key)
-                            || s.finished_at.is_some_and(|c| (c, *g) >= cut_key)
-                    })
-                    .count() as u64;
-                let _prof = span(Phase::SpecRollback);
-                self.rewind_overruns(&mut slots, cut_key);
-            }
-            // Canonical merge: per-GPU logs are in execution order with
-            // non-decreasing keys, and the serial pop sequence is exactly
-            // the key-sorted interleaving (stable within a GPU).
-            let committed = {
-                let _prof = span(Phase::SpecClassify);
-                merged.clear();
-                for (g, slot) in slots.iter_mut().enumerate() {
-                    merged.extend(slot.log.drain(..).map(|e| (g, e)));
-                }
-                merged.sort_by_key(|(g, e)| (e.ready, *g));
-                merged.len()
-            };
-            spec.committed += committed as u64;
-            {
-                let _prof = span(Phase::SpecCommit);
-                for (g, e) in &merged {
-                    spec.per_gpu_committed[*g] += 1;
-                    self.commit_entry(*g, e);
-                }
-            }
-            if cut.is_some() {
-                // The blocked event runs through the unchanged serial
-                // path: fault, collapse, remote fetch, epoch, barrier.
-                match self.serial_step()? {
-                    StepOutcome::Progress => {}
-                    StepOutcome::AllFinished => break,
-                }
-                if committed == 0 {
-                    // Nothing speculates past this point cheaply; degrade
-                    // to a bounded serial burst instead of paying a round
-                    // barrier per single event.
-                    window_scale = 1;
-                    for _ in 0..SERIAL_BURST {
-                        spec.serial += 1;
-                        match self.serial_step()? {
-                            StepOutcome::Progress => {}
-                            StepOutcome::AllFinished => break 'rounds,
-                        }
-                    }
-                } else if speculated > 2 * committed {
-                    // Most of the horizon was thrown away at the cut:
-                    // narrow it so speculation tracks the commit rate.
-                    window_scale = (window_scale / 2).max(1);
-                }
-            } else {
-                // Full horizon committed: widen the window to amortize
-                // round barriers over more work.
-                window_scale = (window_scale * 2).min(MAX_WINDOW_SCALE);
-            }
-        }
-        if grit_prof::enabled() {
-            grit_prof::record_spec(&spec);
-        }
-        Ok(())
-    }
-
-    /// The parallel phase of one round: the pool workers advance their GPU
-    /// chunks against the frozen driver view up to `horizon` while the
-    /// conductor doubles as worker zero on the first chunk.
-    ///
-    /// Per-GPU results depend only on that GPU's state and the shared
-    /// frozen view, so slot contents are independent of the thread count
-    /// and chunk assignment.
-    ///
-    /// Publishes fresh pointers every round (the `gpus` and `slots`
-    /// allocations are stable, but the view is a per-round stack value)
-    /// and returns only after every worker's `Acquire` handshake, at which
-    /// point no other thread holds any of them.
-    fn speculate_round(
-        &mut self,
-        sync: &ShardSync,
-        workers: &[std::thread::Thread],
-        chunk: usize,
-        slots: &mut [RoundSlot],
-        horizon: Cycle,
-    ) {
-        let n = self.gpus.len();
-        let view = self.driver.view();
-        let lat = self.cfg.lat;
-        let seq = sync.seq.load(Ordering::Relaxed) + 1;
-        sync.bound.store(horizon, Ordering::Relaxed);
-        sync.gpus.store(self.gpus.as_mut_ptr(), Ordering::Relaxed);
-        sync.slots.store(slots.as_mut_ptr(), Ordering::Relaxed);
-        sync.view.store(
-            std::ptr::from_ref(&view).cast::<()>().cast_mut(),
-            Ordering::Relaxed,
-        );
-        sync.seq.store(seq, Ordering::Release);
-        for t in workers {
-            t.unpark();
-        }
-        // The conductor's own chunk, through the published pointers (the
-        // worker chunks hold live references derived from them, so the
-        // arrays must not be re-borrowed directly until the handshake).
-        let gpus_ptr = sync.gpus.load(Ordering::Relaxed);
-        let slots_ptr = sync.slots.load(Ordering::Relaxed);
-        let prof_exec = span(Phase::SpecExecute);
-        for g in 0..chunk.min(n) {
-            // SAFETY: same disjointness argument as in `shard_worker`; the
-            // conductor owns chunk zero for the duration of the round.
-            let f = unsafe { &mut *gpus_ptr.add(g) };
-            let slot = unsafe { &mut *slots_ptr.add(g) };
-            advance_frontend(g, f, &view, &lat, (horizon, 0), slot);
-        }
-        drop(prof_exec);
-        for d in &sync.done {
-            let mut spins = 0u32;
-            while d.load(Ordering::Acquire) != seq {
-                spins += 1;
-                if spins < 1 << 10 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-        if sync.poisoned.load(Ordering::Acquire) {
-            panic!("sharded speculation worker panicked");
-        }
-    }
-
-    /// Rolls every GPU that speculated to or past the cut back to the cut
-    /// by reversing its undo log (cost proportional to the overrun, not to
-    /// the frontend state size).
-    fn rewind_overruns(&mut self, slots: &mut [RoundSlot], cut: (Cycle, usize)) {
-        for (g, slot) in slots.iter_mut().enumerate() {
-            let overran = slot.log.last().is_some_and(|e| (e.ready, g) >= cut)
-                || slot.finished_at.is_some_and(|c| (c, g) >= cut);
-            if overran {
-                rollback_to_cut(g, &mut self.gpus[g], slot, cut);
-            }
-        }
-    }
-
-    /// Applies the deferred global side effects of one committed pure
-    /// access — the exact shared-state mutations [`Simulation::process`]
-    /// performs inline, in the same within-access order.
-    fn commit_entry(&mut self, g: usize, e: &PureEntry) {
-        let gpu = GpuId::new(g as u8);
-        self.accesses += 1;
-        self.attrs.record(gpu, e.vpn, e.kind);
-        self.observe(e.t0, g, e.vpn, e.kind.is_write());
-        if self.driver.wants_access_feed() {
-            self.driver.feed_access(e.t0, gpu, e.vpn, e.kind);
-        }
-        if e.walked {
-            let scheme = self.driver.scheme_of(e.vpn);
-            self.scheme_mix.record(scheme);
-            if let Some(series) = &mut self.obs_scheme_timeline {
-                let bucket = match scheme {
-                    grit_sim::Scheme::OnTouch => 0,
-                    grit_sim::Scheme::AccessCounter => 1,
-                    grit_sim::Scheme::Duplication => 2,
-                };
-                series.record(e.t0, bucket);
-            }
-            self.driver.charge(LatencyClass::Local, e.walk_cycles);
-        }
-        if e.local_miss {
-            self.driver.commit_local_touch(gpu, e.vpn, e.kind.is_write());
-            self.local_accesses += 1;
         }
     }
 
@@ -1331,9 +537,8 @@ impl Simulation {
         }
 
         // Address translation. A coalesced frame owned by this GPU
-        // translates through the 2 MB hierarchy under the frame-base key
-        // (mirroring `advance_pure`); everything else through the
-        // base-page TLBs.
+        // translates through the 2 MB hierarchy under the frame-base key;
+        // everything else through the base-page TLBs.
         let large_key = match self.gpus[g].tlb_2m {
             Some(_) => self.driver.large_translation(gpu, vpn),
             None => None,
@@ -1613,11 +818,8 @@ impl Simulation {
             metrics.set_aux("tlb_l1_hit_rate_2m", l1_2m);
             metrics.set_aux("tlb_l2_hit_rate_2m", l2_2m);
         }
-        // Cycle-domain profiling series. Always recorded (the sources sit
-        // on rare paths), and byte-identical at any `sim_threads`: the
-        // histograms live behind the driver, which only ever runs in
-        // canonical serial order, and the MLP stall counter undoes its
-        // speculative contributions on rollback.
+        // Cycle-domain profiling series. Always recorded: the sources sit
+        // on rare paths.
         metrics.set_aux(
             "prof_fault_occupancy_hist",
             hist_aux(self.driver.fault_occupancy()),
@@ -1954,112 +1156,6 @@ mod tests {
         let token = CancelToken::shared();
         token.cancel();
         let sim = SimulationBuilder::new(two_gpu_cfg(), w, policy).cancel(token).build().unwrap();
-        assert!(matches!(
-            sim.try_run(),
-            Err(GritError::Cell(CellError::Cancelled))
-        ));
-    }
-
-    /// Serial vs sharded digest over everything a run reports. The `aux`
-    /// map is rendered with sorted keys: std `HashMap` iteration order is
-    /// not stable across instances, and no consumer depends on it.
-    fn digest(out: &RunOutput) -> String {
-        let m = &out.metrics;
-        let mut keys: Vec<&String> = m.aux.keys().collect();
-        keys.sort();
-        let aux: String = keys.iter().map(|k| format!("{k}={:?};", m.aux(k).unwrap())).collect();
-        format!(
-            "cycles={} acc={} local={} remote={} breakdown={:?} faults={:?} \
-             mix={:?} nv={} pcie={} ovs={} aux[{aux}] attrs={:?} obs={:?}",
-            m.total_cycles,
-            m.accesses,
-            m.local_accesses,
-            m.remote_accesses,
-            m.breakdown,
-            m.faults,
-            m.scheme_mix,
-            m.nvlink_bytes,
-            m.pcie_bytes,
-            m.oversubscription_rate,
-            out.page_attrs,
-            out.observer,
-        )
-    }
-
-    fn sharded_run(app: App, gpus: usize, threads: usize) -> RunOutput {
-        let cfg = SimConfig::with_gpus(gpus);
-        let w = WorkloadBuilder::new(app).num_gpus(gpus).scale(0.02).build();
-        let policy = Box::new(StaticPolicy::new(Scheme::OnTouch));
-        SimulationBuilder::new(cfg, w, policy)
-            .sim_threads(threads)
-            .observer(ObserverConfig::tracking(PageId(1)).with_grids(20))
-            .build()
-            .unwrap()
-            .try_run()
-            .unwrap()
-    }
-
-    #[test]
-    fn sharded_run_is_byte_identical_to_serial() {
-        for app in [App::Bfs, App::Gemm] {
-            let serial = digest(&sharded_run(app, 4, 1));
-            for threads in [2, 4, 8] {
-                let sharded = digest(&sharded_run(app, 4, threads));
-                assert_eq!(serial, sharded, "{app:?} diverges at sim_threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_engine_respects_barriers_and_tiny_streams() {
-        // The hand-built barrier workload from `barriers_hold_the_fast_gpu`
-        // exercises barrier stops, finish rollbacks, and equal-key ties.
-        let long: Vec<Access> =
-            (0..200).map(|i| Access::read(PageId(1 + (i % 3)), (i % 64) as u16)).collect();
-        let make = || {
-            tiny_workload(
-                vec![
-                    vec![Access::read(PageId(0), 0), Access::read(PageId(0), 1)],
-                    long.clone(),
-                ],
-                vec![vec![1], vec![long.len()]],
-                8,
-            )
-        };
-        let policy = || Box::new(StaticPolicy::new(Scheme::Duplication));
-        let serial = digest(
-            &SimulationBuilder::new(two_gpu_cfg(), make(), policy())
-                .build()
-                .unwrap()
-                .try_run()
-                .unwrap(),
-        );
-        let sharded = digest(
-            &SimulationBuilder::new(two_gpu_cfg(), make(), policy())
-                .sim_threads(2)
-                .build()
-                .unwrap()
-                .try_run()
-                .unwrap(),
-        );
-        assert_eq!(serial, sharded);
-    }
-
-    #[test]
-    fn sharded_cancelled_token_aborts_run() {
-        let w = tiny_workload(
-            vec![vec![Access::read(PageId(1), 0)], vec![]],
-            vec![vec![], vec![]],
-            4,
-        );
-        let policy = Box::new(StaticPolicy::new(Scheme::OnTouch));
-        let token = CancelToken::shared();
-        token.cancel();
-        let sim = SimulationBuilder::new(two_gpu_cfg(), w, policy)
-            .sim_threads(2)
-            .cancel(token)
-            .build()
-            .unwrap();
         assert!(matches!(
             sim.try_run(),
             Err(GritError::Cell(CellError::Cancelled))

@@ -2,7 +2,7 @@
 //! only on the driver's serial paths, so `uniform2m`/`mixed` cells must
 //! stay byte-identical — metrics, page attributes and the JSONL trace
 //! stream (including `page-coalesced`/`page-splintered` events) — at
-//! any `--jobs` × `--sim-threads` combination (DESIGN.md §17).
+//! any `--jobs` (DESIGN.md §17).
 
 use grit::experiments::{run_batch_with, BatchOptions, CellSpec, ExpConfig, PolicyKind};
 use grit::runner::RunOutput;
@@ -51,20 +51,17 @@ fn digest(out: &RunOutput) -> String {
     format!("{metrics}\n{events}")
 }
 
-fn run(cells: &[CellSpec], jobs: usize, sim_threads: usize) -> Vec<String> {
-    run_batch_with(
-        cells,
-        &BatchOptions::new().jobs(jobs).sim_threads(sim_threads),
-    )
-    .into_iter()
-    .map(|r| digest(&r.expect("cell must succeed")))
-    .collect()
+fn run(cells: &[CellSpec], jobs: usize) -> Vec<String> {
+    run_batch_with(cells, &BatchOptions::new().jobs(jobs))
+        .into_iter()
+        .map(|r| digest(&r.expect("cell must succeed")))
+        .collect()
 }
 
 #[test]
-fn mixed_mode_is_byte_identical_at_any_jobs_and_sim_threads() {
+fn mixed_mode_is_byte_identical_at_any_jobs() {
     let cells = grid();
-    let baseline = run(&cells, 1, 1);
+    let baseline = run(&cells, 1);
     // The baseline really exercised the machinery under test.
     assert!(
         baseline.iter().any(|d| d.contains("page-coalesced")),
@@ -75,14 +72,9 @@ fn mixed_mode_is_byte_identical_at_any_jobs_and_sim_threads() {
         "grid must splinter at least one frame"
     );
     for jobs in [2usize, 4] {
-        for threads in [1usize, 2, 4] {
-            let got = run(&cells, jobs, threads);
-            for (i, (b, g)) in baseline.iter().zip(got.iter()).enumerate() {
-                assert_eq!(
-                    b, g,
-                    "cell {i} diverges at --jobs {jobs} --sim-threads {threads}"
-                );
-            }
+        let got = run(&cells, jobs);
+        for (i, (b, g)) in baseline.iter().zip(got.iter()).enumerate() {
+            assert_eq!(b, g, "cell {i} diverges at --jobs {jobs}");
         }
     }
 }

@@ -219,7 +219,6 @@ fn bench_diff_gates_on_threshold() {
         intensity: 1.0,
         seed: 7,
         jobs: 1,
-        sim_threads: 1,
         total_seconds: seconds,
         cells_run: 8,
         targets: vec![TargetTiming {

@@ -17,10 +17,9 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serve_v1.jsonl")
 }
 
-/// One of every message, exercising both sparse and fully-loaded specs.
-fn exemplar_lines() -> Vec<String> {
-    let plain = RunSpec::new("GEMM", "grit");
-    let loaded = RunSpec::new("BFS", "on-touch")
+/// A spec with every optional field set.
+fn loaded_spec() -> RunSpec {
+    RunSpec::new("BFS", "on-touch")
         .scale(0.25)
         .intensity(1.5)
         .seed(42)
@@ -29,12 +28,17 @@ fn exemplar_lines() -> Vec<String> {
         .topology("nvswitch")
         .inject("retire@10:gpu=0:frames=1")
         .check_invariants(true)
-        .sim_threads(2)
         .timeout_secs(30.0)
         .trace(true)
         .trace_filter("fault,migration")
         .trace_sample(16)
-        .profile(true);
+        .profile(true)
+}
+
+/// One of every message, exercising both sparse and fully-loaded specs.
+fn exemplar_lines() -> Vec<String> {
+    let plain = RunSpec::new("GEMM", "grit");
+    let loaded = loaded_spec();
     let requests = [
         Request::Submit { id: 0, spec: plain },
         Request::Submit {
@@ -143,6 +147,27 @@ fn unknown_fields_from_a_newer_peer_are_ignored() {
     assert_eq!(spec.scale, 0.5);
     // Unknown spec fields fall back to defaults, not errors.
     assert_eq!(spec.seed, grit_sim::spec::DEFAULT_SEED);
+}
+
+#[test]
+fn submit_lines_that_still_carry_sim_threads_decode_unchanged() {
+    // Clients built while the engine had a `sim_threads` knob still send
+    // it; the key is ignored and the spec (hence its store key) is the
+    // same as without it.
+    let old = r#"{"schema":"grit-serve/v1","type":"submit","id":1,"spec":{"app":"BFS",
+        "policy":"on-touch","scale":0.25,"intensity":1.5,"seed":42,"gpus":8,
+        "page_size":2097152,"topology":"nvswitch","inject":"retire@10:gpu=0:frames=1",
+        "check_invariants":true,"sim_threads":2,"timeout_secs":30.0,"trace":true,
+        "trace_filter":"fault,migration","trace_sample":16,"profile":true}}"#;
+    let decode = |line: &str| match Request::from_json(&Json::parse(line).unwrap()).unwrap() {
+        Request::Submit { spec, .. } => spec,
+        other => panic!("parsed as {other:?}"),
+    };
+    let with = decode(old);
+    let without = decode(&old.replace(r#""sim_threads":2,"#, ""));
+    assert_eq!(with, without);
+    assert_eq!(with, loaded_spec());
+    assert_eq!(with.canonical(), loaded_spec().canonical());
 }
 
 #[test]
